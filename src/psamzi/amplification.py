@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import bisect
 
 from .errors import DarkPointSingularity, NoRoot, ZeroAmplitude
-from .optics import MziParams, wrap_angle
+from .optics import MziParams, balanced_bs1, wrap_angle
 
 DARK_OVERLAP_TOL = 1e-15
 ZERO_AMPLITUDE_TOL = 1e-15
@@ -105,14 +105,24 @@ def _phase_of_port(chi: float, theta2: float, gamma: float) -> float:
     )
 
 
+def port_depth(params: MziParams) -> float:
+    """Depth 1 - sin(2*theta2) * cos(chi - gamma) = 2 |alpha_f|^2 / N of the port."""
+    return 1.0 - math.sin(2.0 * params.theta2) * math.cos(params.chi - params.gamma)
+
+
 def chi_tilde_exact(params: MziParams) -> AmplifiedPhase:
     """Exact amplified phase, valid at any coupling strength.
 
     Equals arg(alpha_f) - arg(alpha) wrapped to (-pi, pi].  Raises
-    ZeroAmplitude at an exact dark point, where the phase is undefined.
+    ZeroAmplitude at an exact dark point, where the phase is undefined, and
+    ValueError for an unbalanced first splitter, which the closed form does
+    not describe.
     """
-    depth = 1.0 - math.sin(2.0 * params.theta2) * math.cos(params.chi - params.gamma)
-    mag = math.sqrt(params.n_photons / 2.0) * math.sqrt(max(depth, 0.0))
+    if not balanced_bs1(params.theta1):
+        raise ValueError(
+            f"the closed forms assume theta1 = pi/4, got theta1={params.theta1}"
+        )
+    mag = math.sqrt(params.n_photons / 2.0) * math.sqrt(max(port_depth(params), 0.0))
     if mag < ZERO_AMPLITUDE_TOL:
         raise ZeroAmplitude(
             f"postselected amplitude vanishes at theta2={params.theta2}, "
@@ -174,8 +184,3 @@ def invert_chi(chi_tilde_measured: float, theta2: float, gamma: float = 0.0) -> 
         f"no chi in (-pi/2, pi/2) reproduces chi_tilde={chi_tilde_measured} "
         f"at theta2={theta2}, gamma={gamma}"
     )
-
-
-def with_chi(params: MziParams, chi: float) -> MziParams:
-    """Copy of ``params`` with the signal phase replaced."""
-    return replace(params, chi=chi)

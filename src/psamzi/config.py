@@ -10,10 +10,11 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .homodyne import LoConfig
-from .optics import MziParams, coherent_amplitude
+from .optics import MziParams, balanced_bs1, coherent_amplitude
 from .saturation import DetectorParams
 
-SCAN_VARIABLES = ("theta2", "chi", "gamma", "m", "n")
+# theta2 for fig2 and fig4, the shot count m for fig3.
+SCAN_VARIABLES = ("theta2", "m")
 OUTPUT_FORMATS = ("csv", "json")
 
 DEFAULT_N_PHOTONS = 100.0
@@ -26,7 +27,7 @@ _TOP_KEYS = {"mzi", "lo", "detector", "shots", "scan", "output", "chi_values", "
 _MZI_KEYS = {"theta1", "theta2", "gamma", "chi", "n_photons", "input_phase"}
 _LO_KEYS = {"beta_mag", "xi", "delta"}
 _DETECTOR_KEYS = {"k_max", "n_sat"}
-_SHOTS_KEYS = {"m", "seed", "runs"}
+_SHOTS_KEYS = {"seed", "runs"}
 _SCAN_KEYS = {"variable", "grid"}
 _OUTPUT_KEYS = {"path", "format", "precision"}
 
@@ -39,7 +40,6 @@ class ScanSpec:
 
 @dataclass
 class ShotSpec:
-    m: int = 1
     seed: int | None = None
     runs: int = DEFAULT_RUNS
 
@@ -55,7 +55,9 @@ class OutputSpec:
 class RunConfig:
     """Resolved configuration for one CLI run.
 
-    ``theta2`` and ``chi`` stay None when the config omits them; each runner
+    ``theta1`` is always pi/4: every closed form assumes a balanced first
+    splitter, so ``load_config`` rejects any other value.  ``theta2`` and
+    ``chi`` stay None when the config omits them; each runner
     either scans them, fills its own documented default, or rejects the run.
     """
 
@@ -121,6 +123,13 @@ def _number(section: dict, key: str, where: str) -> float:
     return float(value)
 
 
+def _integer(section: dict, key: str, where: str) -> int:
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+    return value
+
+
 def _number_list(value: object, where: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a nonempty list of numbers")
@@ -134,26 +143,30 @@ def _number_list(value: object, where: str) -> list[float]:
     return out
 
 
-def _strictly_monotone(grid: list[float]) -> bool:
+def strictly_monotone(grid: list[float]) -> bool:
     if len(grid) < 2:
         return True
     diffs = [b - a for a, b in zip(grid, grid[1:])]
     return all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
 
 
+def _check_scan(scan: ScanSpec) -> ScanSpec:
+    if scan.variable not in SCAN_VARIABLES:
+        raise ConfigError(
+            f"scan.variable must be one of {SCAN_VARIABLES}, got {scan.variable!r}"
+        )
+    if not strictly_monotone(scan.grid):
+        raise ConfigError("scan.grid must be strictly monotone")
+    return scan
+
+
 def _parse_scan(section: dict) -> ScanSpec:
     _require_keys(section, _SCAN_KEYS, "scan")
     if "variable" not in section or "grid" not in section:
         raise ConfigError("scan requires both 'variable' and 'grid'")
-    variable = section["variable"]
-    if variable not in SCAN_VARIABLES:
-        raise ConfigError(
-            f"scan.variable must be one of {SCAN_VARIABLES}, got {variable!r}"
-        )
-    grid = _number_list(section["grid"], "scan.grid")
-    if not _strictly_monotone(grid):
-        raise ConfigError("scan.grid must be strictly monotone")
-    return ScanSpec(variable=variable, grid=grid)
+    return _check_scan(
+        ScanSpec(section["variable"], _number_list(section["grid"], "scan.grid"))
+    )
 
 
 def load_config(
@@ -190,6 +203,9 @@ def load_config(
     _require_keys(mzi, _MZI_KEYS, "mzi")
     if "theta1" in mzi:
         config.theta1 = _number(mzi, "theta1", "mzi")
+        if not balanced_bs1(config.theta1):
+            raise ConfigError("mzi.theta1 must be pi/4: every closed form "
+                              "assumes a balanced first splitter")
     if "theta2" in mzi:
         config.theta2 = _number(mzi, "theta2", "mzi")
     if "gamma" in mzi:
@@ -242,16 +258,10 @@ def load_config(
             raise ConfigError("shots must be an object")
         _require_keys(sh, _SHOTS_KEYS, "shots")
         spec = ShotSpec()
-        if "m" in sh:
-            spec.m = int(_number(sh, "m", "shots"))
-            if spec.m < 1:
-                raise ConfigError("shots.m must be >= 1")
         if "seed" in sh:
-            if not isinstance(sh["seed"], int) or isinstance(sh["seed"], bool):
-                raise ConfigError("shots.seed must be an integer")
-            spec.seed = sh["seed"]
+            spec.seed = _integer(sh, "seed", "shots")
         if "runs" in sh:
-            spec.runs = int(_number(sh, "runs", "shots"))
+            spec.runs = _integer(sh, "runs", "shots")
             if spec.runs < 2:
                 raise ConfigError("shots.runs must be >= 2")
         config.shots = spec
@@ -277,7 +287,7 @@ def load_config(
                 )
             spec.format = output["format"]
         if "precision" in output:
-            spec.precision = int(_number(output, "precision", "output"))
+            spec.precision = _integer(output, "precision", "output")
             if not 1 <= spec.precision <= 17:
                 raise ConfigError("output.precision must lie in [1, 17]")
         config.output = spec
@@ -292,7 +302,7 @@ def load_config(
 
     # CLI overrides win over the file.
     if scan is not None:
-        config.scan = scan
+        config.scan = _check_scan(scan)
     if seed is not None:
         if config.shots is None:
             config.shots = ShotSpec()

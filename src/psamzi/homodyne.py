@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .amplification import chi_tilde_aav, chi_tilde_exact, invert_chi, with_chi
+from .amplification import chi_tilde_aav, chi_tilde_exact, invert_chi, port_depth
 from .errors import DomainError, ZeroSignal
 from .optics import MziParams
 
@@ -87,10 +87,9 @@ def quadrature_stats_exact(params: MziParams) -> QuadratureStats:
     * |cos(chi_tilde)| * chi_tilde.
     """
     amp = chi_tilde_exact(params)
-    depth = 1.0 - math.sin(2.0 * params.theta2) * math.cos(params.chi - params.gamma)
     mean = amp.alpha_f_mag * math.sin(amp.chi_tilde)
     sensitivity = (
-        math.sqrt(2.0 * params.n_photons * max(depth, 0.0))
+        math.sqrt(2.0 * params.n_photons * max(port_depth(params), 0.0))
         * abs(math.cos(amp.chi_tilde))
         * amp.chi_tilde
     )
@@ -114,7 +113,7 @@ def modulation_error_compare(
     """
     if chi == 0.0:
         raise ZeroSignal("relative bias is undefined at chi = 0")
-    work = with_chi(params, chi)
+    work = replace(params, chi=chi)
     amp = chi_tilde_exact(work)
     half_pi = math.pi / 2
     if not -half_pi < chi + delta < half_pi:

@@ -18,6 +18,11 @@ import numpy as np
 BALANCED_BS1_TOL = 1e-12
 
 
+def balanced_bs1(theta1: float) -> bool:
+    """Whether the first splitter is 50:50, as every closed form assumes."""
+    return abs(theta1 - math.pi / 4) < BALANCED_BS1_TOL
+
+
 def wrap_angle(phi: float) -> float:
     """Wrap an angle to the interval (-pi, pi]."""
     wrapped = math.remainder(phi, math.tau)
@@ -53,6 +58,9 @@ class MziParams:
         for name, value in (("theta1", self.theta1), ("theta2", self.theta2)):
             if not 0.0 <= value <= math.pi / 2:
                 raise ValueError(f"{name} must lie in [0, pi/2], got {value}")
+        if not all(map(cmath.isfinite, (self.chi, self.gamma, self.alpha))):
+            raise ValueError(f"chi, gamma and alpha must be finite, got chi={self.chi}, "
+                             f"gamma={self.gamma}, alpha={self.alpha}")
 
     @property
     def n_photons(self) -> float:
@@ -109,7 +117,7 @@ def propagate_mzi(params: MziParams) -> PortFields:
     first-splitter angle falls back to composing the individual elements,
     which is also the independent cross-check path used by the tests.
     """
-    if abs(params.theta1 - math.pi / 4) < BALANCED_BS1_TOL:
+    if balanced_bs1(params.theta1):
         scale = params.alpha / math.sqrt(2.0)
         arm1 = cmath.exp(1j * params.chi)
         arm2 = cmath.exp(1j * params.gamma)

@@ -1,24 +1,22 @@
 """Scan orchestration and reproducible table/record emission.
 
 Each figure runner resolves its parameters (config plus documented defaults),
-hashes the resolved set, evaluates the scan grid in order (optionally across a
-thread pool; results are assembled in grid order regardless of completion
-order), and returns a Table ready for CSV or JSON rendering.  Rows at exact
-dark points carry the literal sentinel "NA" instead of numbers.
+hashes the resolved set, evaluates the scan grid in order, and returns a Table
+ready for CSV or JSON rendering.  Rows at exact dark points carry the literal
+sentinel "NA" instead of numbers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
 from .amplification import chi_tilde_aav, chi_tilde_exact, weak_value
-from .config import RunConfig, config_hash
+from .config import RunConfig, config_hash, strictly_monotone
 from .errors import (
     ConfigError,
     DarkPointSingularity,
@@ -48,6 +46,11 @@ FIG3_DEFAULT_THETA2 = math.pi / 4 - 0.003
 FIG3_DEFAULT_CHI = 1e-2
 FIG4_DEFAULT_CHI = 1e-4
 
+# A scan point raising one of these is a dark-point sentinel row: the weak
+# value diverges, the postselected amplitude vanishes, or the amplified phase
+# is zero.
+_SENTINEL_ERRORS = (DarkPointSingularity, ZeroAmplitude, ZeroSignal)
+
 
 @dataclass
 class Table:
@@ -63,14 +66,6 @@ class Table:
         return bool(self.rows) and self.sentinel_rows == len(self.rows)
 
 
-def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    """Apply ``fn`` over ``items`` preserving order, optionally in parallel."""
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def default_theta2_grid() -> list[float]:
     grid = np.linspace(
         DEFAULT_THETA2_GRID_START,
@@ -80,14 +75,55 @@ def default_theta2_grid() -> list[float]:
     return [float(x) for x in grid]
 
 
-def _theta2_grid(config: RunConfig) -> list[float]:
+def _config_sha256(config: RunConfig, figure: str, **resolved: object) -> str:
+    """Hash of the fully resolved parameters of one run, shared keys included."""
+    shared = {"figure": figure, "theta1": config.theta1, "gamma": config.gamma,
+              "input_phase": config.input_phase, "precision": config.output.precision}
+    return config_hash({**shared, **resolved})
+
+
+def _theta2_scan(
+    config: RunConfig,
+    figure: str,
+    columns: list[str],
+    blocks: list[float],
+    point: Callable[[float, float], list[object]],
+    **resolved: object,
+) -> Table:
+    """Evaluate ``point(block, theta2)`` for each block over the theta2 grid.
+
+    Rows come in (block, theta2) order.  The first two columns hold the block
+    value and theta2, in either order; ``point`` returns the remaining cells,
+    and a point that raises a sentinel error gets NA in them instead.
+    """
     if config.scan is None:
-        return default_theta2_grid()
-    if config.scan.variable != "theta2":
+        grid = default_theta2_grid()
+    elif config.scan.variable != "theta2":
         raise ConfigError(
             f"this figure scans theta2, got scan variable {config.scan.variable!r}"
         )
-    return list(config.scan.grid)
+    else:
+        grid = list(config.scan.grid)
+    theta2_first = columns[0] == "theta2"
+    nulls = [None] * (len(columns) - 2)
+    rows = []
+    sentinels = 0
+    for block in blocks:
+        for theta2 in grid:
+            try:
+                cells = point(block, theta2)
+            except _SENTINEL_ERRORS:
+                cells = nulls
+                sentinels += 1
+            keys = [theta2, block] if theta2_first else [block, theta2]
+            rows.append(keys + cells)
+    sha = _config_sha256(config, figure, theta2_grid=grid, **resolved)
+    return Table(
+        columns=columns,
+        rows=rows,
+        meta={"config_sha256": sha, "seed": None},
+        sentinel_rows=sentinels,
+    )
 
 
 def run_fig2(config: RunConfig, workers: int = 1) -> Table:
@@ -95,57 +131,25 @@ def run_fig2(config: RunConfig, workers: int = 1) -> Table:
 
     One row per (chi, theta2) pair with both the small-coupling and the exact
     amplified phase, the weak value, and the postselected intensity.
+    ``workers`` is accepted for compatibility and has no effect.
     """
-    grid = _theta2_grid(config)
     chi_values = config.chi_values or list(DEFAULT_CHI_VALUES)
-    resolved = {
-        "figure": "fig2",
-        "theta1": config.theta1,
-        "gamma": config.gamma,
-        "n_photons": config.n_photons,
-        "input_phase": config.input_phase,
-        "chi_values": chi_values,
-        "theta2_grid": grid,
-        "precision": config.output.precision,
-    }
 
-    def evaluate(point: tuple[float, float]) -> tuple[list[object], bool]:
-        chi, theta2 = point
-        try:
-            wv = weak_value(theta2, config.gamma)
-            wv_amp = chi_tilde_aav(
-                chi, theta2, config.gamma, math.sqrt(config.n_photons)
-            )
-            exact = chi_tilde_exact(
-                config.mzi_params(theta2=theta2, chi=chi)
-            )
-        except (DarkPointSingularity, ZeroAmplitude):
-            return [chi, theta2, None, None, None, None], True
-        return [
-            chi,
-            theta2,
-            wv_amp.chi_tilde,
-            exact.chi_tilde,
-            wv.a_w.real,
-            exact.alpha_f_mag**2,
-        ], False
+    def point(chi: float, theta2: float) -> list[object]:
+        wv = weak_value(theta2, config.gamma)
+        wv_amp = chi_tilde_aav(chi, theta2, config.gamma, math.sqrt(config.n_photons))
+        exact = chi_tilde_exact(config.mzi_params(theta2=theta2, chi=chi))
+        return [wv_amp.chi_tilde, exact.chi_tilde, wv.a_w.real, exact.alpha_f_mag**2]
 
-    points = [(chi, theta2) for chi in chi_values for theta2 in grid]
-    results = _map_ordered(evaluate, points, workers)
-    rows = [row for row, _ in results]
-    sentinels = sum(1 for _, dark in results if dark)
-    return Table(
-        columns=[
-            "chi",
-            "theta2",
-            "chi_tilde_aav",
-            "chi_tilde_exact",
-            "weak_value",
-            "port_intensity",
-        ],
-        rows=rows,
-        meta={"config_sha256": config_hash(resolved), "seed": None},
-        sentinel_rows=sentinels,
+    return _theta2_scan(
+        config,
+        "fig2",
+        ["chi", "theta2", "chi_tilde_aav", "chi_tilde_exact", "weak_value",
+         "port_intensity"],
+        chi_values,
+        point,
+        n_photons=config.n_photons,
+        chi_values=chi_values,
     )
 
 
@@ -154,19 +158,22 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
 
     The Monte-Carlo column re-estimates the quadrature fluctuation from
     ``runs`` independent seeded batches per grid point; per-point child seeds
-    are derived from (seed, point index), so the output does not depend on
-    evaluation order.
+    are derived from (seed, point index).  ``workers`` is accepted for
+    compatibility and has no effect.
     """
-    if config.scan is not None and config.scan.variable != "m":
-        raise ConfigError(
-            f"fig3 scans m, got scan variable {config.scan.variable!r}"
-        )
     if config.scan is None:
         m_grid = list(DEFAULT_M_GRID)
+    elif config.scan.variable != "m":
+        raise ConfigError(f"fig3 scans m, got scan variable {config.scan.variable!r}")
     else:
         m_grid = [int(round(x)) for x in config.scan.grid]
         if any(m < 1 for m in m_grid):
             raise ConfigError("fig3 m grid entries must be >= 1")
+        if not strictly_monotone(m_grid):
+            raise ConfigError(
+                f"fig3 m grid must stay strictly monotone after rounding to "
+                f"integers, got {m_grid}"
+            )
     if config.shots is None or config.shots.seed is None:
         raise ConfigError("fig3 needs a seed (shots.seed or --seed) for the "
                           "Monte-Carlo column")
@@ -183,23 +190,8 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     slope = amp.alpha_f_mag * abs(math.cos(amp.chi_tilde))
     single_shot_band = QUADRATURE_STD / slope
 
-    resolved = {
-        "figure": "fig3",
-        "theta1": config.theta1,
-        "theta2": theta2,
-        "gamma": config.gamma,
-        "chi": chi,
-        "n_photons": config.n_photons,
-        "input_phase": config.input_phase,
-        "lo": {"beta_mag": lo.beta_mag, "xi": lo.xi, "delta": lo.delta},
-        "m_grid": m_grid,
-        "seed": seed,
-        "runs": runs,
-        "precision": config.output.precision,
-    }
-
-    def evaluate(point: tuple[int, int]) -> tuple[list[object], bool]:
-        index, m = point
+    rows: list[list[object]] = []
+    for index, m in enumerate(m_grid):
         child_seeds = np.random.SeedSequence([seed, index]).generate_state(runs)
         means = np.array(
             [
@@ -208,77 +200,65 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
             ]
         )
         std_mc = float(means.std(ddof=1))
-        sensitivity_mc = (
-            amp.chi_tilde * slope / std_mc if std_mc > 0 else None
-        )
         band = single_shot_band / math.sqrt(m)
-        return [
+        rows.append([
             m,
             stats.sensitivity * math.sqrt(m),
-            sensitivity_mc,
+            amp.chi_tilde * slope / std_mc if std_mc > 0 else None,
             amp.chi_tilde,
             amp.chi_tilde - band,
             amp.chi_tilde + band,
-        ], False
+        ])
 
-    results = _map_ordered(evaluate, list(enumerate(m_grid)), workers)
+    sha = _config_sha256(
+        config,
+        "fig3",
+        theta2=theta2,
+        chi=chi,
+        n_photons=config.n_photons,
+        lo=asdict(lo),
+        m_grid=m_grid,
+        seed=seed,
+        runs=runs,
+    )
     return Table(
-        columns=[
-            "m",
-            "sensitivity",
-            "sensitivity_mc",
-            "chi_tilde",
-            "chi_tilde_lower",
-            "chi_tilde_upper",
-        ],
-        rows=[row for row, _ in results],
-        meta={"config_sha256": config_hash(resolved), "seed": seed},
-        sentinel_rows=0,
+        columns=["m", "sensitivity", "sensitivity_mc", "chi_tilde", "chi_tilde_lower",
+                 "chi_tilde_upper"],
+        rows=rows,
+        meta={"config_sha256": sha, "seed": seed},
     )
 
 
 def run_fig4(config: RunConfig, workers: int = 1) -> Table:
-    """Saturation error ratio versus postselection angle, per input intensity."""
+    """Saturation error ratio versus postselection angle, per input intensity.
+
+    ``workers`` is accepted for compatibility and has no effect.
+    """
     if config.detector is None:
         raise ConfigError("fig4 needs a detector block (k_max, n_sat)")
-    grid = _theta2_grid(config)
     n_values = config.n_values or list(DEFAULT_N_VALUES)
     chi = config.chi if config.chi is not None else FIG4_DEFAULT_CHI
     lo = config.lo_config()
     det = config.detector
 
-    resolved = {
-        "figure": "fig4",
-        "theta1": config.theta1,
-        "gamma": config.gamma,
-        "chi": chi,
-        "input_phase": config.input_phase,
-        "lo": {"beta_mag": lo.beta_mag, "xi": lo.xi, "delta": lo.delta},
-        "detector": {"k_max": det.k_max, "n_sat": det.n_sat},
-        "n_values": n_values,
-        "theta2_grid": grid,
-        "precision": config.output.precision,
-    }
-
-    def evaluate(point: tuple[float, float]) -> tuple[list[object], bool]:
-        n_photons, theta2 = point
+    def point(n_photons: float, theta2: float) -> list[object]:
         params = config.mzi_params(theta2=theta2, chi=chi, n_photons=n_photons)
-        try:
-            # Exact dark postselection makes the linear inversion degenerate
-            # even when the port amplitude itself is nonzero.
-            weak_value(theta2, config.gamma)
-            report = error_ratio(params, lo, det)
-        except (ZeroAmplitude, ZeroSignal, DarkPointSingularity):
-            return [theta2, n_photons, None, None, None], True
-        return [theta2, n_photons, report.n1, report.n2, report.eta_e], False
+        # Exact dark postselection makes the linear inversion degenerate
+        # even when the port amplitude itself is nonzero.
+        weak_value(theta2, config.gamma)
+        report = error_ratio(params, lo, det)
+        return [report.n1, report.n2, report.eta_e]
 
-    points = [(n, theta2) for n in n_values for theta2 in grid]
-    results = _map_ordered(evaluate, points, workers)
-    return Table(
-        columns=["theta2", "n_photons", "n1", "n2", "eta_e"],
-        rows=[row for row, _ in results],
-        meta={"config_sha256": config_hash(resolved), "seed": None},
-        sentinel_rows=sum(1 for _, dark in results if dark),
+    return _theta2_scan(
+        config,
+        "fig4",
+        ["theta2", "n_photons", "n1", "n2", "eta_e"],
+        n_values,
+        point,
+        chi=chi,
+        lo=asdict(lo),
+        detector=asdict(det),
+        n_values=n_values,
     )
 
 
@@ -293,24 +273,18 @@ def run_single(config: RunConfig) -> dict:
     params = config.mzi_params()
     lo = config.lo_config()
     fields = propagate_mzi(params)
-
-    resolved = {
-        "figure": "single",
-        "theta1": params.theta1,
-        "theta2": params.theta2,
-        "gamma": params.gamma,
-        "chi": params.chi,
-        "n_photons": config.n_photons,
-        "input_phase": config.input_phase,
-        "lo": {"beta_mag": lo.beta_mag, "xi": lo.xi, "delta": lo.delta},
-        "detector": None
-        if config.detector is None
-        else {"k_max": config.detector.k_max, "n_sat": config.detector.n_sat},
-        "precision": config.output.precision,
-    }
+    sha = _config_sha256(
+        config,
+        "single",
+        theta2=params.theta2,
+        chi=params.chi,
+        n_photons=config.n_photons,
+        lo=asdict(lo),
+        detector=None if config.detector is None else asdict(config.detector),
+    )
 
     record: dict[str, object] = {
-        "config_sha256": config_hash(resolved),
+        "config_sha256": sha,
         "alpha_f": {"re": fields.alpha_f.real, "im": fields.alpha_f.imag},
         "alpha_fbar": {"re": fields.alpha_fbar.real, "im": fields.alpha_fbar.imag},
         "port_intensity": fields.intensity_f,
@@ -385,9 +359,7 @@ def render_table_json(table: Table, precision: int) -> str:
         "config_sha256": table.meta["config_sha256"],
         "seed": table.meta.get("seed"),
         "columns": table.columns,
-        "rows": [
-            [None if v is None else v for v in row] for row in table.rows
-        ],
+        "rows": table.rows,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

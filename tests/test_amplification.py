@@ -157,6 +157,12 @@ class TestExactPhase:
         with pytest.raises(ZeroAmplitude):
             chi_tilde_exact(params)
 
+    def test_unbalanced_first_splitter_raises(self):
+        # The closed form would report 0.02204 here; arg(alpha_f) is 0.01203.
+        params = MziParams(theta2=0.5, chi=0.01, alpha=10.0 + 0j, theta1=0.3)
+        with pytest.raises(ValueError):
+            chi_tilde_exact(params)
+
     def test_continuous_on_each_side_of_dark_point(self):
         # No branch jump approaching the dark angle from either side.
         for grid in (

@@ -205,6 +205,10 @@ class TestHelpers:
             MziParams(theta2=2.0, chi=0.0, alpha=1.0 + 0j)
         with pytest.raises(ValueError):
             MziParams(theta2=0.3, chi=0.0, alpha=1.0 + 0j, theta1=-0.1)
+        for bad in ({"chi": math.nan}, {"gamma": math.inf},
+                    {"alpha": complex(math.inf, 0.0)}, {"alpha": complex(1.0, math.nan)}):
+            with pytest.raises(ValueError):
+                MziParams(**{"theta2": 0.3, "chi": 0.0, "alpha": 1.0 + 0j, **bad})
         params = MziParams(theta2=0.3, chi=0.0, alpha=coherent_amplitude(25.0, -0.2))
         assert math.isclose(params.n_photons, 25.0, rel_tol=1e-14)
         assert math.isclose(params.input_phase, -0.2, rel_tol=1e-14)

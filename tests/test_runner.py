@@ -44,9 +44,10 @@ def fig4_config(tmp_path):
 class TestConfig:
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"mzi": {"theta_two": 0.7}}))
-        with pytest.raises(ConfigError):
-            load_config(path)
+        for raw in ({"mzi": {"theta_two": 0.7}}, {"shots": {"m": 10}}):
+            path.write_text(json.dumps(raw))
+            with pytest.raises(ConfigError):
+                load_config(path)
 
     def test_non_monotone_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -58,9 +59,27 @@ class TestConfig:
 
     def test_bad_scan_variable_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"scan": {"variable": "alpha", "grid": [1, 2]}}))
+        for variable in ("alpha", "chi", "gamma", "n"):
+            path.write_text(json.dumps({"scan": {"variable": variable, "grid": [1, 2]}}))
+            with pytest.raises(ConfigError):
+                load_config(path)
+            with pytest.raises(ConfigError):
+                load_config(None, scan=ScanSpec(variable, [1.0, 2.0]))
+            assert main(["fig2", "--scan", variable, "1", "2", "2"]) == 2
+
+    def test_unbalanced_first_splitter_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"mzi": {"theta1": 0.3}}))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_non_integer_counts_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for raw in ({"shots": {"runs": 2.7}}, {"shots": {"seed": 1.0}},
+                    {"output": {"precision": 12.5}}):
+            path.write_text(json.dumps(raw))
+            with pytest.raises(ConfigError):
+                load_config(path)
 
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -120,7 +139,7 @@ class TestFig2:
         assert all(row[2] is None for row in table.rows)
 
     def test_rejects_wrong_scan_variable(self):
-        config = load_config(None, scan=ScanSpec("chi", [0.1, 0.2]))
+        config = load_config(None, scan=ScanSpec("m", [1.0, 2.0]))
         with pytest.raises(ConfigError):
             run_fig2(config)
 
@@ -154,6 +173,14 @@ class TestFig3:
         config = load_config(None, scan=ScanSpec("theta2", [0.1, 0.2]), seed=1)
         with pytest.raises(ConfigError):
             run_fig3(config)
+
+    def test_rejects_m_grid_that_rounds_to_duplicates(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scan": {"variable": "m", "grid": [1.2, 1.4]}}))
+        with pytest.raises(ConfigError):
+            run_fig3(load_config(path, seed=1))
+        # --scan m 1 2 5 rounds to 1,1,2,2,2.
+        assert main(["fig3", "--seed", "7", "--scan", "m", "1", "2", "5"]) == 2
 
 
 class TestFig4:
