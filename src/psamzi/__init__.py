@@ -13,6 +13,7 @@ from .amplification import (
     chi_tilde_aav,
     chi_tilde_exact,
     invert_chi,
+    invert_chi_branches,
     weak_value,
 )
 from .errors import (
@@ -100,6 +101,7 @@ __all__ = [
     "estimate_chi_from_run",
     "intensity_difference",
     "invert_chi",
+    "invert_chi_branches",
     "invert_phase_linear_model",
     "modulation_error_compare",
     "phase_shift",

@@ -13,11 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import bisect
-
 from .errors import DarkPointSingularity, NoRoot, ZeroAmplitude
-from .optics import MziParams, balanced_bs1, wrap_angle
+from .optics import MziParams, require_balanced_bs1, wrap_angle
 
 DARK_OVERLAP_TOL = 1e-15
 ZERO_AMPLITUDE_TOL = 1e-15
@@ -28,10 +25,6 @@ MODE_EXACT = "exact"
 # Fraction of the real part above which an imaginary weak-value component is
 # flagged as not extractable from a quadrature measurement.
 IMAG_WARNING_RATIO = 0.01
-
-_BISECT_XTOL = 1e-14
-_BRACKET_EDGE = math.pi / 2 - 1e-12
-_SCAN_POINTS = 4097
 
 
 @dataclass
@@ -118,10 +111,7 @@ def chi_tilde_exact(params: MziParams) -> AmplifiedPhase:
     ValueError for an unbalanced first splitter, which the closed form does
     not describe.
     """
-    if not balanced_bs1(params.theta1):
-        raise ValueError(
-            f"the closed forms assume theta1 = pi/4, got theta1={params.theta1}"
-        )
+    require_balanced_bs1(params)
     mag = math.sqrt(params.n_photons / 2.0) * math.sqrt(max(port_depth(params), 0.0))
     if mag < ZERO_AMPLITUDE_TOL:
         raise ZeroAmplitude(
@@ -135,52 +125,44 @@ def chi_tilde_exact(params: MziParams) -> AmplifiedPhase:
     )
 
 
+def invert_chi_branches(
+    chi_tilde_measured: float, theta2: float, gamma: float = 0.0
+) -> tuple[float, ...]:
+    """Every bare phase in (-pi/2, pi/2) whose exact amplified phase is the measured one.
+
+    arg(alpha_f) = chi_tilde means Im(alpha_f * exp(-i chi_tilde)) = 0, i.e.
+    sin(chi - chi_tilde) = tan(theta2) * sin(gamma - chi_tilde), with
+    Re(alpha_f * exp(-i chi_tilde)) > 0.  The two asin branches of the first
+    condition are kept when they satisfy the second.  Below the dark point
+    (theta2 < pi/4) at most one survives; past it both can.  Returns the
+    sorted distinct roots, at most two, or () when there is none.
+    """
+    s = math.tan(theta2) * math.sin(gamma - chi_tilde_measured)
+    if abs(s) > 1.0:
+        return ()
+    offset = math.asin(s)
+    lead = math.sin(theta2) * math.cos(gamma - chi_tilde_measured)
+    roots = {
+        wrap_angle(chi_tilde_measured + d)
+        for d in (offset, math.pi - offset)
+        if math.cos(theta2) * math.cos(d) > lead
+    }
+    return tuple(sorted(r for r in roots if abs(r) < math.pi / 2))
+
+
 def invert_chi(chi_tilde_measured: float, theta2: float, gamma: float = 0.0) -> float:
     """Recover the bare phase from a measured amplified phase.
 
-    Solves chi_tilde_exact(chi) == chi_tilde_measured for chi in
-    (-pi/2, pi/2) by bisection (interval tolerance 1e-14).  For theta2 below
-    pi/4 the forward map is strictly monotone and continuous on the whole
-    bracket, so the endpoint bisection succeeds directly.  When the
-    postselection overshoots the dark point the map carries a 2pi branch jump;
-    candidate roots are then verified and located through a fine scan of the
-    wrap-free residual instead.  Raises NoRoot when the measured value is not
-    reproduced anywhere in the bracket.
+    Returns the root of chi_tilde_exact(chi) == chi_tilde_measured in
+    (-pi/2, pi/2), from the closed form in invert_chi_branches.  Below the
+    dark point the root is unique.  Past it two roots can reproduce the
+    measurement; the one nearer zero, the weak-signal branch, is returned.
+    Raises NoRoot when no chi in the interval reproduces the measured value.
     """
-
-    def residual(chi: float) -> float:
-        return _phase_of_port(chi, theta2, gamma) - chi_tilde_measured
-
-    def wrapped(chi: float) -> float:
-        # Identical roots, but continuous across the branch cut of atan2.
-        return wrap_angle(residual(chi))
-
-    def is_root(chi: float) -> bool:
-        return abs(wrapped(chi)) < 1e-9
-
-    lo, hi = -_BRACKET_EDGE, _BRACKET_EDGE
-    r_lo, r_hi = residual(lo), residual(hi)
-    if r_lo == 0.0:
-        return lo
-    if r_hi == 0.0:
-        return hi
-    if r_lo * r_hi < 0.0:
-        # A non-monotone map can bracket its discontinuity instead of a root,
-        # so the bisection result is verified before being trusted.
-        candidate = float(bisect(residual, lo, hi, xtol=_BISECT_XTOL))
-        if is_root(candidate):
-            return candidate
-
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    values = [wrapped(x) for x in grid]
-    for left, right, v_left, v_right in zip(grid, grid[1:], values, values[1:]):
-        if v_left == 0.0 and is_root(float(left)):
-            return float(left)
-        if v_left * v_right < 0.0 and min(abs(v_left), abs(v_right)) < math.pi / 2:
-            candidate = float(bisect(wrapped, left, right, xtol=_BISECT_XTOL))
-            if is_root(candidate):
-                return candidate
-    raise NoRoot(
-        f"no chi in (-pi/2, pi/2) reproduces chi_tilde={chi_tilde_measured} "
-        f"at theta2={theta2}, gamma={gamma}"
-    )
+    roots = invert_chi_branches(chi_tilde_measured, theta2, gamma)
+    if not roots:
+        raise NoRoot(
+            f"no chi in (-pi/2, pi/2) reproduces chi_tilde={chi_tilde_measured} "
+            f"at theta2={theta2}, gamma={gamma}"
+        )
+    return min(roots, key=abs)

@@ -155,6 +155,8 @@ def _check_scan(scan: ScanSpec) -> ScanSpec:
         raise ConfigError(
             f"scan.variable must be one of {SCAN_VARIABLES}, got {scan.variable!r}"
         )
+    if not all(math.isfinite(x) for x in scan.grid):
+        raise ConfigError("scan.grid must contain only finite numbers")
     if not strictly_monotone(scan.grid):
         raise ConfigError("scan.grid must be strictly monotone")
     return scan

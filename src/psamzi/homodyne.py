@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .amplification import chi_tilde_aav, chi_tilde_exact, invert_chi, port_depth
 from .errors import DomainError, ZeroSignal
-from .optics import MziParams
+from .optics import MziParams, require_balanced_bs1
 
 # Quadrature standard deviation of any coherent state in this convention.
 QUADRATURE_STD = 0.5
@@ -58,7 +58,9 @@ def quadrature_stats_aav(params: MziParams) -> QuadratureStats:
     mean = sqrt(N/2) * (cos(theta2) - sin(theta2)) * sin(chi_tilde) and the
     sensitivity follows from error propagation with the 1/2 shot fluctuation:
     sqrt(2N) * |(cos(theta2) - sin(theta2)) * cos(chi_tilde)| * chi_tilde.
+    Raises ValueError for an unbalanced first splitter.
     """
+    require_balanced_bs1(params)
     if params.gamma != 0.0:
         raise ValueError("small-coupling statistics are defined for the "
                          "splitter-modulation scheme (gamma = 0)")

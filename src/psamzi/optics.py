@@ -23,6 +23,14 @@ def balanced_bs1(theta1: float) -> bool:
     return abs(theta1 - math.pi / 4) < BALANCED_BS1_TOL
 
 
+def require_balanced_bs1(params: MziParams) -> None:
+    """Raise ValueError unless theta1 = pi/4, which every closed form assumes."""
+    if not balanced_bs1(params.theta1):
+        raise ValueError(
+            f"the closed forms assume theta1 = pi/4, got theta1={params.theta1}"
+        )
+
+
 def wrap_angle(phi: float) -> float:
     """Wrap an angle to the interval (-pi, pi]."""
     wrapped = math.remainder(phi, math.tau)

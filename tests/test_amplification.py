@@ -2,6 +2,10 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,9 @@ from psamzi import (
     chi_tilde_aav,
     chi_tilde_exact,
     invert_chi,
+    invert_chi_branches,
     propagate_mzi,
+    quadrature_stats_aav,
     weak_value,
     wrap_angle,
 )
@@ -159,9 +165,11 @@ class TestExactPhase:
 
     def test_unbalanced_first_splitter_raises(self):
         # The closed form would report 0.02204 here; arg(alpha_f) is 0.01203.
+        # The small-coupling mean would be 0.0620; the true one is 0.0838.
         params = MziParams(theta2=0.5, chi=0.01, alpha=10.0 + 0j, theta1=0.3)
-        with pytest.raises(ValueError):
-            chi_tilde_exact(params)
+        for closed_form in (chi_tilde_exact, quadrature_stats_aav):
+            with pytest.raises(ValueError):
+                closed_form(params)
 
     def test_continuous_on_each_side_of_dark_point(self):
         # No branch jump approaching the dark angle from either side.
@@ -192,6 +200,11 @@ class TestExactPhase:
         assert all(b < a for a, b in zip(gaps[1:], gaps))
         slope = np.polyfit(np.log(chis), np.log(gaps), 1)[0]
         assert abs(slope - 2.0) < 0.1
+
+
+def _forward(theta2, chi, gamma):
+    params = MziParams(theta2=theta2, chi=chi, alpha=1.0 + 0j, gamma=gamma)
+    return chi_tilde_exact(params).chi_tilde
 
 
 class TestInvertChi:
@@ -231,3 +244,72 @@ class TestInvertChi:
         # Forward image at theta2=0.3 never reaches 3 rad.
         with pytest.raises(NoRoot):
             invert_chi(3.0, 0.3)
+
+    def test_past_dark_close_roots(self):
+        # The two roots lie within 3e-5 of each other, close enough for a
+        # bracketing solver to miss both and raise NoRoot.
+        theta2, gamma = 0.8138007990985905, 0.14106704922706328
+        chi = -0.19291433989118023
+        measured = _forward(theta2, chi, gamma)
+        recovered = invert_chi(measured, theta2, gamma)
+        assert abs(wrap_angle(_forward(theta2, recovered, gamma) - measured)) < 1e-9
+        branches = invert_chi_branches(measured, theta2, gamma)
+        assert len(branches) == 2
+        assert min(abs(b - chi) for b in branches) < 1e-10
+
+    def test_overshot_branches_and_rule(self):
+        # Past the dark point the weak-signal root, the one nearer zero, wins.
+        measured = _forward(0.8, 0.1, 0.0)
+        branches = invert_chi_branches(measured, 0.8)
+        assert len(branches) == 2
+        assert abs(branches[0] - 0.1) < 1e-12
+        assert abs(branches[1] - 0.5679) < 1e-4
+        assert invert_chi(measured, 0.8) == branches[0]
+
+    def test_branches_random_past_dark(self):
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            theta2 = rng.uniform(math.pi / 4 + 0.01, math.pi / 2 - 0.02)
+            gamma = rng.choice((-1.0, 1.0)) * rng.uniform(0.02, 0.2)
+            chi = rng.uniform(-0.3, 0.3)
+            measured = _forward(theta2, chi, gamma)
+            branches = invert_chi_branches(measured, theta2, gamma)
+            assert 1 <= len(branches) <= 2
+            assert list(branches) == sorted(branches)
+            assert invert_chi(measured, theta2, gamma) in branches
+            assert min(abs(b - chi) for b in branches) < 1e-10
+            for b in branches:
+                assert abs(wrap_angle(_forward(theta2, b, gamma) - measured)) < 1e-9
+
+    def test_single_branch_below_dark(self):
+        rng = np.random.default_rng(26)
+        for _ in range(300):
+            theta2 = rng.uniform(0.05, math.pi / 4 - 0.01)
+            gamma = rng.uniform(-0.2, 0.2)
+            chi = rng.uniform(-0.3, 0.3)
+            branches = invert_chi_branches(_forward(theta2, chi, gamma), theta2, gamma)
+            assert len(branches) == 1
+            assert abs(branches[0] - chi) < 1e-10
+
+    def test_no_branch(self):
+        assert invert_chi_branches(3.0, 0.3) == ()
+        # |tan(theta2) * sin(gamma - chi_tilde)| > 1: not even a candidate.
+        assert invert_chi_branches(-1.2, 1.3) == ()
+
+
+def test_import_pulls_no_scipy():
+    # The phase inversion is closed form: importing the package must stay
+    # free of scipy, whose import alone used to cost most of a CLI run.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, psamzi; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

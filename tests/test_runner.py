@@ -289,6 +289,9 @@ class TestCli:
         assert main(["fig2", "--config", str(bad)]) == 2
         assert main(["fig3", "--scan", "m", "1", "100", "2"]) == 2  # no seed
         assert main(["fig4"]) == 2  # no detector
+        # One-point grids pass the monotone check but are not finite.
+        assert main(["fig3", "--seed", "1", "--scan", "m", "nan", "nan", "1"]) == 2
+        assert main(["fig2", "--scan", "theta2", "inf", "inf", "1"]) == 2
 
     def test_sentinel_only_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
