@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DarkPointSingularity, NoRoot, ZeroAmplitude
-from .optics import MziParams, require_balanced_bs1, wrap_angle
+from .optics import MziParams, port_amplitudes, require_balanced_bs1, wrap_angle
 
 DARK_OVERLAP_TOL = 1e-15
 ZERO_AMPLITUDE_TOL = 1e-15
@@ -90,14 +90,6 @@ def chi_tilde_aav(
     )
 
 
-def _phase_of_port(chi: float, theta2: float, gamma: float) -> float:
-    """Argument of the postselected amplitude relative to the input phase."""
-    return math.atan2(
-        math.sin(chi) * math.cos(theta2) - math.sin(gamma) * math.sin(theta2),
-        math.cos(chi) * math.cos(theta2) - math.cos(gamma) * math.sin(theta2),
-    )
-
-
 def port_depth(params: MziParams) -> float:
     """Depth 1 - sin(2*theta2) * cos(chi - gamma) = 2 |alpha_f|^2 / N of the port."""
     return 1.0 - math.sin(2.0 * params.theta2) * math.cos(params.chi - params.gamma)
@@ -119,7 +111,7 @@ def chi_tilde_exact(params: MziParams) -> AmplifiedPhase:
             f"chi={params.chi}, gamma={params.gamma}"
         )
     return AmplifiedPhase(
-        chi_tilde=wrap_angle(_phase_of_port(params.chi, params.theta2, params.gamma)),
+        chi_tilde=wrap_angle(cmath.phase(port_amplitudes(params)[0])),
         alpha_f_mag=mag,
         mode=MODE_EXACT,
     )

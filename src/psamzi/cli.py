@@ -76,7 +76,9 @@ def _parse_scan_flag(values: list[str]) -> ScanSpec:
         raise ConfigError(f"bad --scan values: {exc}") from exc
     if n < 1:
         raise ConfigError("--scan POINTS must be >= 1")
-    grid = [float(x) for x in np.linspace(start_f, stop_f, n)]
+    # load_config rejects a grid that is not finite; numpy need not warn first.
+    with np.errstate(invalid="ignore", over="ignore"):
+        grid = [float(x) for x in np.linspace(start_f, stop_f, n)]
     return ScanSpec(variable=variable, grid=grid)
 
 

@@ -114,6 +114,15 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _section(raw: dict, name: str, keys: set[str]) -> dict:
+    """The object ``raw[name]``, {} when absent, with unknown keys rejected."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object")
+    _require_keys(section, keys, name)
+    return section
+
+
 def _number(section: dict, key: str, where: str) -> float:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -163,7 +172,6 @@ def _check_scan(scan: ScanSpec) -> ScanSpec:
 
 
 def _parse_scan(section: dict) -> ScanSpec:
-    _require_keys(section, _SCAN_KEYS, "scan")
     if "variable" not in section or "grid" not in section:
         raise ConfigError("scan requires both 'variable' and 'grid'")
     return _check_scan(
@@ -199,10 +207,7 @@ def load_config(
     _require_keys(raw, _TOP_KEYS, "top-level")
     config = RunConfig()
 
-    mzi = raw.get("mzi", {})
-    if not isinstance(mzi, dict):
-        raise ConfigError("mzi must be an object")
-    _require_keys(mzi, _MZI_KEYS, "mzi")
+    mzi = _section(raw, "mzi", _MZI_KEYS)
     if "theta1" in mzi:
         config.theta1 = _number(mzi, "theta1", "mzi")
         if not balanced_bs1(config.theta1):
@@ -222,10 +227,7 @@ def load_config(
         config.input_phase = _number(mzi, "input_phase", "mzi")
 
     if "lo" in raw:
-        lo = raw["lo"]
-        if not isinstance(lo, dict):
-            raise ConfigError("lo must be an object")
-        _require_keys(lo, _LO_KEYS, "lo")
+        lo = _section(raw, "lo", _LO_KEYS)
         if "beta_mag" not in lo:
             raise ConfigError("lo.beta_mag is required when lo is present")
         try:
@@ -240,10 +242,7 @@ def load_config(
             raise ConfigError(str(exc)) from exc
 
     if "detector" in raw:
-        det = raw["detector"]
-        if not isinstance(det, dict):
-            raise ConfigError("detector must be an object")
-        _require_keys(det, _DETECTOR_KEYS, "detector")
+        det = _section(raw, "detector", _DETECTOR_KEYS)
         if "k_max" not in det or "n_sat" not in det:
             raise ConfigError("detector requires both 'k_max' and 'n_sat'")
         try:
@@ -255,10 +254,7 @@ def load_config(
             raise ConfigError(str(exc)) from exc
 
     if "shots" in raw:
-        sh = raw["shots"]
-        if not isinstance(sh, dict):
-            raise ConfigError("shots must be an object")
-        _require_keys(sh, _SHOTS_KEYS, "shots")
+        sh = _section(raw, "shots", _SHOTS_KEYS)
         spec = ShotSpec()
         if "seed" in sh:
             spec.seed = _integer(sh, "seed", "shots")
@@ -269,15 +265,10 @@ def load_config(
         config.shots = spec
 
     if "scan" in raw:
-        if not isinstance(raw["scan"], dict):
-            raise ConfigError("scan must be an object")
-        config.scan = _parse_scan(raw["scan"])
+        config.scan = _parse_scan(_section(raw, "scan", _SCAN_KEYS))
 
     if "output" in raw:
-        output = raw["output"]
-        if not isinstance(output, dict):
-            raise ConfigError("output must be an object")
-        _require_keys(output, _OUTPUT_KEYS, "output")
+        output = _section(raw, "output", _OUTPUT_KEYS)
         spec = OutputSpec()
         if "path" in output:
             spec.path = str(output["path"])

@@ -118,6 +118,20 @@ def phase_shift(a: complex, phi: float) -> complex:
     return a * cmath.exp(1j * phi)
 
 
+def port_amplitudes(params: MziParams) -> tuple[complex, complex]:
+    """Closed-form port amplitudes behind a balanced first splitter, unit scale.
+
+    Returns (e^{i chi} cos(theta2) - e^{i gamma} sin(theta2),
+    e^{i chi} sin(theta2) + e^{i gamma} cos(theta2)); the port fields are
+    alpha / sqrt(2) and -i * alpha / sqrt(2) times these.
+    """
+    arm1 = cmath.exp(1j * params.chi)
+    arm2 = cmath.exp(1j * params.gamma)
+    c2 = math.cos(params.theta2)
+    s2 = math.sin(params.theta2)
+    return arm1 * c2 - arm2 * s2, arm1 * s2 + arm2 * c2
+
+
 def propagate_mzi(params: MziParams) -> PortFields:
     """Propagate the input state through both splitters and the arm phases.
 
@@ -127,14 +141,8 @@ def propagate_mzi(params: MziParams) -> PortFields:
     """
     if balanced_bs1(params.theta1):
         scale = params.alpha / math.sqrt(2.0)
-        arm1 = cmath.exp(1j * params.chi)
-        arm2 = cmath.exp(1j * params.gamma)
-        c2 = math.cos(params.theta2)
-        s2 = math.sin(params.theta2)
-        return PortFields(
-            alpha_f=scale * (arm1 * c2 - arm2 * s2),
-            alpha_fbar=-1j * scale * (arm1 * s2 + arm2 * c2),
-        )
+        unit_f, unit_fbar = port_amplitudes(params)
+        return PortFields(alpha_f=scale * unit_f, alpha_fbar=-1j * scale * unit_fbar)
     a, b = bs_transform(params.alpha, 0.0, params.theta1)
     a = phase_shift(a, params.chi)
     b = phase_shift(b, params.gamma)

@@ -23,14 +23,10 @@ from .errors import (
     ZeroAmplitude,
     ZeroSignal,
 )
-from .homodyne import (
-    QUADRATURE_STD,
-    quadrature_mean,
-    quadrature_stats_exact,
-)
+from .homodyne import quadrature_mean, quadrature_stats_exact
 from .optics import intensity_difference, propagate_mzi
 from .saturation import error_ratio
-from .shots import sample_shots
+from .shots import averaged_stats, phase_slope, sample_shots, uncertainty_vs_m
 
 # Exposes the amplification ramp without touching the dark-point singularity.
 DEFAULT_THETA2_GRID_START = 0.05
@@ -187,27 +183,25 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     stats = quadrature_stats_exact(params)
     amp = chi_tilde_exact(params)
     alpha_f = propagate_mzi(params).alpha_f
-    slope = amp.alpha_f_mag * abs(math.cos(amp.chi_tilde))
-    single_shot_band = QUADRATURE_STD / slope
+    slope = phase_slope(amp)
 
     rows: list[list[object]] = []
-    for index, m in enumerate(m_grid):
+    for index, point in enumerate(uncertainty_vs_m(params, m_grid)):
         child_seeds = np.random.SeedSequence([seed, index]).generate_state(runs)
         means = np.array(
             [
-                sample_shots(alpha_f, lo.effective_phase, m, int(s)).sample_mean
+                sample_shots(alpha_f, lo.effective_phase, point.m, int(s)).sample_mean
                 for s in child_seeds
             ]
         )
         std_mc = float(means.std(ddof=1))
-        band = single_shot_band / math.sqrt(m)
         rows.append([
-            m,
-            stats.sensitivity * math.sqrt(m),
+            point.m,
+            averaged_stats(point.m, stats).sensitivity,
             amp.chi_tilde * slope / std_mc if std_mc > 0 else None,
-            amp.chi_tilde,
-            amp.chi_tilde - band,
-            amp.chi_tilde + band,
+            point.chi_tilde,
+            point.lower,
+            point.upper,
         ])
 
     sha = _config_sha256(
@@ -334,10 +328,8 @@ def run_single(config: RunConfig) -> dict:
 def _format_value(value: object, precision: int) -> str:
     if value is None:
         return "NA"
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return format(float(value), f".{precision}e")
 
 
@@ -355,13 +347,12 @@ def render_csv(table: Table, precision: int) -> str:
 
 
 def render_table_json(table: Table, precision: int) -> str:
-    payload = {
+    return render_record_json({
         "config_sha256": table.meta["config_sha256"],
         "seed": table.meta.get("seed"),
         "columns": table.columns,
         "rows": table.rows,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def render_record_json(record: dict) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .amplification import chi_tilde_exact
+from .amplification import ZERO_AMPLITUDE_TOL, chi_tilde_exact
 from .errors import NegativeCount, ZeroAmplitude, ZeroSignal
 from .homodyne import LoConfig, quadrature_mean
 from .optics import MziParams, propagate_mzi
@@ -99,7 +99,7 @@ def invert_phase_linear_model(
     Returns (arcsin(x_measured / (alpha_f_mag * k_max / N_sat)), clamped);
     the flag is set when the argument had to be clipped into [-1, 1].
     """
-    if alpha_f_mag <= 1e-15:
+    if alpha_f_mag <= ZERO_AMPLITUDE_TOL:
         raise ZeroAmplitude("cannot invert the readout of a vanishing amplitude")
     arg = x_measured * det.n_sat / (det.k_max * alpha_f_mag)
     clamped = abs(arg) > 1.0

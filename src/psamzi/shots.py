@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplification import chi_tilde_exact, invert_chi
+from .amplification import (
+    ZERO_AMPLITUDE_TOL,
+    AmplifiedPhase,
+    chi_tilde_exact,
+    invert_chi,
+)
 from .errors import ZeroAmplitude
 from .homodyne import QUADRATURE_STD, QuadratureStats, quadrature_mean
 from .optics import MziParams
@@ -106,7 +111,7 @@ def estimate_chi_from_run(
     a flag rather than discarding noisy runs, then mapped back through the
     exact forward relation.
     """
-    if alpha_f_mag <= 1e-15:
+    if alpha_f_mag <= ZERO_AMPLITUDE_TOL:
         raise ZeroAmplitude("cannot normalize samples by a vanishing amplitude")
     ratio = run.sample_mean / alpha_f_mag
     clamped = abs(ratio) > 1.0
@@ -116,6 +121,11 @@ def estimate_chi_from_run(
         chi_hat=invert_chi(chi_tilde_hat, theta2, gamma),
         clamped=clamped,
     )
+
+
+def phase_slope(amp: AmplifiedPhase) -> float:
+    """Readout slope |d mean / d chi_tilde| = |alpha_f| * |cos(chi_tilde)|."""
+    return amp.alpha_f_mag * abs(math.cos(amp.chi_tilde))
 
 
 @dataclass
@@ -139,7 +149,7 @@ def uncertainty_vs_m(params: MziParams, m_grid: list[int]) -> list[UncertaintyPo
     if any(m < 1 for m in m_grid):
         raise ValueError("every entry of m_grid must be >= 1")
     amp = chi_tilde_exact(params)
-    slope = amp.alpha_f_mag * abs(math.cos(amp.chi_tilde))
+    slope = phase_slope(amp)
     single_shot = QUADRATURE_STD / slope if slope > 0 else math.inf
     points = []
     for m in m_grid:

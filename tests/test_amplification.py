@@ -18,6 +18,7 @@ from psamzi import (
     NoRoot,
     ZeroAmplitude,
     chi_tilde_aav,
+    coherent_amplitude,
     chi_tilde_exact,
     invert_chi,
     invert_chi_branches,
@@ -162,6 +163,23 @@ class TestExactPhase:
         params = MziParams(theta2=math.pi / 4, chi=0.3, alpha=2.0 + 0j, gamma=0.3)
         with pytest.raises(ZeroAmplitude):
             chi_tilde_exact(params)
+
+    @pytest.mark.parametrize("n_photons", [1.0, 100.0, 1e4])
+    @pytest.mark.parametrize("chi", [-0.1, -1e-3, 1e-3, 0.1, 1.0])
+    def test_beyond_aav_at_dark_point(self, n_photons, chi):
+        # At theta2 = pi/4, gamma = 0 the small-coupling form has no port
+        # field, while the exact port holds N (1 - cos chi) / 2 ~ N chi^2 / 4
+        # photons at phase copysign(pi/2, chi) + chi/2.  The oracle writes
+        # 1 - cos chi as 2 sin^2(chi/2), which does not cancel at small chi.
+        alpha = coherent_amplitude(n_photons)
+        params = MziParams(theta2=math.pi / 4, chi=chi, alpha=alpha)
+        photons = n_photons * math.sin(chi / 2) ** 2
+        amp = chi_tilde_exact(params)
+        assert math.isclose(propagate_mzi(params).intensity_f, photons, rel_tol=1e-9)
+        assert math.isclose(amp.alpha_f_mag**2, photons, rel_tol=1e-9)
+        assert abs(amp.chi_tilde - (math.copysign(math.pi / 2, chi) + chi / 2)) < 1e-10
+        with pytest.raises(DarkPointSingularity):
+            chi_tilde_aav(chi, math.pi / 4)
 
     def test_unbalanced_first_splitter_raises(self):
         # The closed form would report 0.02204 here; arg(alpha_f) is 0.01203.

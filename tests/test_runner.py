@@ -2,10 +2,11 @@
 
 import json
 import math
+import re
 
 import pytest
 
-from psamzi import ConfigError
+from psamzi import ConfigError, averaged_stats, quadrature_stats_exact, uncertainty_vs_m
 from psamzi.cli import main
 from psamzi.config import ScanSpec, load_config
 from psamzi.runner import render_csv, run_fig2, run_fig3, run_fig4, run_single
@@ -87,6 +88,44 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("raw, overrides, message", [
+        ([1], {}, "config root must be a JSON object"),
+        ({"mzii": {}}, {}, "unknown top-level keys: ['mzii']"),
+        *(({name: [1]}, {}, f"{name} must be an object")
+          for name in ("mzi", "lo", "detector", "shots", "scan", "output")),
+        ({"mzi": {"chi": "0.1"}}, {}, "mzi.chi must be a number, got '0.1'"),
+        ({"mzi": {"chi": True}}, {}, "mzi.chi must be a number, got True"),
+        ({"mzi": {"n_photons": -1}}, {}, "mzi.n_photons must be >= 0"),
+        ({"lo": {"xi": 0.1}}, {}, "lo.beta_mag is required when lo is present"),
+        ({"lo": {"beta_mag": 0}}, {}, "LO amplitude must be positive, got 0.0"),
+        ({"lo": {"beta_mag": 1, "phase": 0}}, {}, "unknown lo keys: ['phase']"),
+        ({"detector": {"k_max": 1}}, {}, "detector requires both 'k_max' and 'n_sat'"),
+        ({"detector": {"k_max": -1, "n_sat": 5}}, {},
+         "detector parameters must be positive, got k_max=-1.0, n_sat=5.0"),
+        ({"shots": {"runs": 1}}, {}, "shots.runs must be >= 2"),
+        ({"scan": {"variable": "m"}}, {}, "scan requires both 'variable' and 'grid'"),
+        ({"scan": {"variable": "m", "grid": []}}, {},
+         "scan.grid must be a nonempty list of numbers"),
+        ({"scan": {"variable": "m", "grid": [1, "2"]}}, {},
+         "scan.grid must contain only numbers, got '2'"),
+        ({"scan": {"variable": "m", "grid": [1], "step": 1}}, {},
+         "unknown scan keys: ['step']"),
+        ({"output": {"precision": 0}}, {}, "output.precision must lie in [1, 17]"),
+        ({"output": {"precision": 18}}, {}, "output.precision must lie in [1, 17]"),
+        ({"output": {"indent": 2}}, {}, "unknown output keys: ['indent']"),
+        ({"chi_values": 0.1}, {}, "chi_values must be a nonempty list of numbers"),
+        ({"chi_values": []}, {}, "chi_values must be a nonempty list of numbers"),
+        ({"n_values": [10, -1]}, {}, "n_values must be >= 0"),
+        (None, {}, "config file not found: "),
+        ({}, {"fmt": "xml"}, "format must be one of ('csv', 'json'), got 'xml'"),
+    ])
+    def test_rejection_messages(self, tmp_path, raw, overrides, message):
+        path = tmp_path / "cfg.json"
+        if raw is not None:
+            path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path, **overrides)
+
     def test_defaults(self):
         config = load_config(None)
         assert math.isclose(config.theta1, math.pi / 4)
@@ -163,6 +202,25 @@ class TestFig3:
         lower = table.columns.index("chi_tilde_lower")
         upper = table.columns.index("chi_tilde_upper")
         assert (last[upper] - last[lower]) < (first[upper] - first[lower])
+
+    def test_columns_match_library_past_dark_point(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "mzi": {"theta2": math.pi / 4 + 0.01, "chi": -0.02, "gamma": 0.05,
+                    "input_phase": -0.7},
+            "shots": {"runs": 7, "seed": 5},
+        }))
+        config = load_config(path)
+        table = run_fig3(config)
+        params = config.mzi_params()
+        stats = quadrature_stats_exact(params)
+        m_grid = [row[0] for row in table.rows]
+        for row, point in zip(table.rows, uncertainty_vs_m(params, m_grid), strict=True):
+            cells = dict(zip(table.columns, row))
+            assert cells["chi_tilde"] == point.chi_tilde
+            assert cells["chi_tilde_lower"] == point.lower
+            assert cells["chi_tilde_upper"] == point.upper
+            assert cells["sensitivity"] == averaged_stats(point.m, stats).sensitivity
 
     def test_requires_seed(self):
         config = load_config(None, scan=ScanSpec("m", [1.0, 10.0]))
@@ -292,6 +350,8 @@ class TestCli:
         # One-point grids pass the monotone check but are not finite.
         assert main(["fig3", "--seed", "1", "--scan", "m", "nan", "nan", "1"]) == 2
         assert main(["fig2", "--scan", "theta2", "inf", "inf", "1"]) == 2
+        # A finite span too wide for a float gives a non-finite grid.
+        assert main(["fig2", "--scan", "theta2", "-1" + "0" * 308, "1e308", "3"]) == 2
 
     def test_sentinel_only_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
