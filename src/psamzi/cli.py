@@ -11,9 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .config import ScanSpec, load_config
+from .config import ScanSpec, linspace, load_config
 from .errors import ConfigError
 from .runner import (
     render_csv,
@@ -76,10 +74,7 @@ def _parse_scan_flag(values: list[str]) -> ScanSpec:
         raise ConfigError(f"bad --scan values: {exc}") from exc
     if n < 1:
         raise ConfigError("--scan POINTS must be >= 1")
-    # load_config rejects a grid that is not finite; numpy need not warn first.
-    with np.errstate(invalid="ignore", over="ignore"):
-        grid = [float(x) for x in np.linspace(start_f, stop_f, n)]
-    return ScanSpec(variable=variable, grid=grid)
+    return ScanSpec(variable=variable, grid=linspace(start_f, stop_f, n))
 
 
 def _write_output(text: str, path: str | None) -> None:

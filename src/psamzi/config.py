@@ -152,6 +152,27 @@ def _number_list(value: object, where: str) -> list[float]:
     return out
 
 
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num >= 1`` evenly spaced points from ``start`` to ``stop``, both included.
+
+    The float arithmetic is numpy.linspace's, step by step, so the grid is the
+    same to the bit; non-finite endpoints give non-finite points, not errors.
+    """
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    div = num - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0:
+        # numpy's branch for a subnormal step: scale by delta after dividing.
+        grid = [i / div * delta + start for i in range(num)]
+    else:
+        grid = [i * step + start for i in range(num)]
+    grid[-1] = stop
+    return grid
+
+
 def strictly_monotone(grid: list[float]) -> bool:
     if len(grid) < 2:
         return True

@@ -11,8 +11,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # Below this distance from pi/4 the first splitter is treated as balanced and
 # the closed-form port amplitudes are used instead of step-by-step composition.
 BALANCED_BS1_TOL = 1e-12
@@ -97,6 +95,8 @@ class PortFields:
 
 def bs_matrix(theta: float) -> np.ndarray:
     """2x2 scattering matrix of a beam splitter with mixing angle ``theta``."""
+    import numpy as np
+
     c = math.cos(theta)
     s = math.sin(theta)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)

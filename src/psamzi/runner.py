@@ -13,10 +13,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-import numpy as np
-
 from .amplification import chi_tilde_aav, chi_tilde_exact, weak_value
-from .config import RunConfig, config_hash, strictly_monotone
+from .config import RunConfig, config_hash, linspace, strictly_monotone
 from .errors import (
     ConfigError,
     DarkPointSingularity,
@@ -63,12 +61,11 @@ class Table:
 
 
 def default_theta2_grid() -> list[float]:
-    grid = np.linspace(
+    return linspace(
         DEFAULT_THETA2_GRID_START,
         DEFAULT_THETA2_GRID_STOP,
         DEFAULT_THETA2_GRID_POINTS,
     )
-    return [float(x) for x in grid]
 
 
 def _config_sha256(config: RunConfig, figure: str, **resolved: object) -> str:
@@ -157,6 +154,8 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     are derived from (seed, point index).  ``workers`` is accepted for
     compatibility and has no effect.
     """
+    import numpy as np
+
     if config.scan is None:
         m_grid = list(DEFAULT_M_GRID)
     elif config.scan.variable != "m":

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .amplification import (
     ZERO_AMPLITUDE_TOL,
     AmplifiedPhase,
@@ -22,6 +20,10 @@ from .amplification import (
 from .errors import ZeroAmplitude
 from .homodyne import QUADRATURE_STD, QuadratureStats, quadrature_mean
 from .optics import MziParams
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -70,8 +72,12 @@ def sample_shots(
     The whole batch is drawn in one vectorized pass from a generator seeded by
     ``seed``, so the result does not depend on scheduling or thread count.
     """
-    if m < 1:
-        raise ValueError(f"shot count must be >= 1, got {m}")
+    if not _is_int(m) or m < 1:
+        raise ValueError(f"shot count must be an integer >= 1, got {m!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     mean = quadrature_mean(alpha_f, xi)
     samples = mean + QUADRATURE_STD * rng.standard_normal(m)
@@ -146,8 +152,8 @@ def uncertainty_vs_m(params: MziParams, m_grid: list[int]) -> list[UncertaintyPo
     """
     if not m_grid:
         raise ValueError("m_grid must be nonempty")
-    if any(m < 1 for m in m_grid):
-        raise ValueError("every entry of m_grid must be >= 1")
+    if not all(_is_int(m) and m >= 1 for m in m_grid):
+        raise ValueError(f"every entry of m_grid must be an integer >= 1, got {m_grid!r}")
     amp = chi_tilde_exact(params)
     slope = phase_slope(amp)
     single_shot = QUADRATURE_STD / slope if slope > 0 else math.inf
@@ -156,7 +162,7 @@ def uncertainty_vs_m(params: MziParams, m_grid: list[int]) -> list[UncertaintyPo
         band = single_shot / math.sqrt(m)
         points.append(
             UncertaintyPoint(
-                m=int(m),
+                m=m,
                 chi_tilde=amp.chi_tilde,
                 lower=amp.chi_tilde - band,
                 upper=amp.chi_tilde + band,

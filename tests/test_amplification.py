@@ -331,3 +331,49 @@ def test_import_pulls_no_scipy():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def _imported_packages(args, cwd):
+    """Run a fresh interpreter under ``-X importtime``; return it and its top packages."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+    )
+    packages = {
+        line.rsplit("|", 1)[1].strip().split(".")[0]
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return result, packages
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import psamzi"],
+    ["-c", "import psamzi.cli"],
+    ["-m", "psamzi.cli", "fig2"],
+    ["-m", "psamzi.cli", "fig2", "--scan", "theta2", "0.6", "0.95", "2001"],
+    ["-m", "psamzi.cli", "fig4", "--config", "detector.json"],
+    ["-m", "psamzi.cli", "single", "--config", "point.json"],
+    # sample_shots rejects a bad shot count before it imports numpy.
+    ["-c", "from psamzi import sample_shots\n"
+           "try:\n    sample_shots(1.0, 0.0, 2.0, 1)\nexcept ValueError:\n    pass"],
+])
+def test_closed_forms_load_no_numpy(args, tmp_path):
+    # Only the Monte-Carlo needs numpy; its import would cost most of a CLI run.
+    (tmp_path / "detector.json").write_text('{"detector": {"k_max": 450, "n_sat": 500}}')
+    (tmp_path / "point.json").write_text('{"mzi": {"theta2": 0.78, "chi": 0.01}}')
+    result, packages = _imported_packages(args, tmp_path)
+    assert result.returncode == 0, result.stderr[-500:]
+    assert "psamzi" in packages
+    assert "numpy" not in packages
+
+
+def test_fig3_cli_loads_numpy_and_runs(tmp_path):
+    # The positive control of the probe above: fig3 draws its shots with numpy.
+    result, packages = _imported_packages(["-m", "psamzi.cli", "fig3", "--seed", "7"], tmp_path)
+    assert result.returncode == 0, result.stderr[-500:]
+    assert "numpy" in packages

@@ -2,14 +2,28 @@
 
 import json
 import math
+import random
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psamzi import ConfigError, averaged_stats, quadrature_stats_exact, uncertainty_vs_m
 from psamzi.cli import main
-from psamzi.config import ScanSpec, load_config
-from psamzi.runner import render_csv, run_fig2, run_fig3, run_fig4, run_single
+from psamzi.config import ScanSpec, linspace, load_config
+from psamzi.runner import (
+    DEFAULT_THETA2_GRID_POINTS,
+    DEFAULT_THETA2_GRID_START,
+    DEFAULT_THETA2_GRID_STOP,
+    default_theta2_grid,
+    render_csv,
+    run_fig2,
+    run_fig3,
+    run_fig4,
+    run_single,
+)
 
 NEAR_DARK = math.pi / 4 - 0.003
 
@@ -146,6 +160,55 @@ class TestConfig:
         assert config.shots.seed == 99
         assert config.scan.variable == "m"
         assert config.output.format == "json"
+
+
+def _hex_grid(values):
+    return [float(x).hex() for x in values]
+
+
+def _numpy_grid(start, stop, num):
+    with np.errstate(all="ignore"):
+        return _hex_grid(np.linspace(start, stop, num))
+
+
+class TestLinspace:
+    """``config.linspace`` against ``np.linspace``, bit for bit via ``float.hex``."""
+
+    def test_random_spans(self):
+        rng = random.Random(2026)
+        for case in range(10_000):
+            start, stop = (
+                rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 308) for _ in range(2)
+            )
+            if case % 2:
+                # A narrow span, where the step's rounding matters most.
+                stop = start * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16, 0))
+            num = rng.randint(61, 2001) if case % 100 == 0 else rng.randint(1, 60)
+            assert _hex_grid(linspace(start, stop, num)) == _numpy_grid(start, stop, num)
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(st.floats(), st.floats(), st.integers(1, 100))
+    def test_any_floats(self, start, stop, num):
+        assert _hex_grid(linspace(start, stop, num)) == _numpy_grid(start, stop, num)
+
+    @pytest.mark.parametrize("start, stop, num", [
+        (-0.0, 1.0, 1), (-0.0, -1.0, 1), (-0.0, 0.0, 1), (-0.0, -0.0, 1), (0.0, -2.0, 1),
+        (0.3, 0.3, 1), (0.3, 0.3, 5), (-0.0, -0.0, 4), (-7.5, -7.5, 3),
+        # 5e-324 / 2 rounds to 0: numpy's subnormal branch.
+        (0.0, 5e-324, 3), (-1e-323, 1e-323, 11),
+        (math.inf, math.inf, 1), (math.inf, math.inf, 3), (-math.inf, math.inf, 4),
+        (0.0, math.inf, 3), (math.nan, 1.0, 3), (0.0, math.nan, 1), (-1e308, 1e308, 5),
+        (DEFAULT_THETA2_GRID_START, DEFAULT_THETA2_GRID_STOP, DEFAULT_THETA2_GRID_POINTS),
+        (0.6, 0.95, 2001),
+    ])
+    def test_edge_spans(self, start, stop, num):
+        assert _hex_grid(linspace(start, stop, num)) == _numpy_grid(start, stop, num)
+
+    def test_default_theta2_grid(self):
+        expected = _numpy_grid(
+            DEFAULT_THETA2_GRID_START, DEFAULT_THETA2_GRID_STOP, DEFAULT_THETA2_GRID_POINTS
+        )
+        assert _hex_grid(default_theta2_grid()) == expected
 
 
 class TestFig2:

@@ -74,6 +74,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_shots(1.0 + 0j, 0.0, 0, seed=1)
 
+    @pytest.mark.parametrize("m", [-3, 2.0, True, None])
+    def test_rejects_non_integer_count(self, m):
+        with pytest.raises(ValueError, match="shot count must be an integer >= 1"):
+            sample_shots(1.0 + 0j, 0.0, m, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, None, 1.0, True])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            sample_shots(1.0 + 0j, 0.0, 10, seed=seed)
+
 
 class TestAveraging:
     def test_identity_at_one(self):
@@ -221,3 +231,9 @@ class TestUncertaintyVsM:
             uncertainty_vs_m(reference_params(), [])
         with pytest.raises(ValueError):
             uncertainty_vs_m(reference_params(), [1, 0])
+
+    @pytest.mark.parametrize("m_grid", [[1, 2.5], [True], [1, 2.0]])
+    def test_rejects_non_integer_counts(self, m_grid):
+        # A float m used to give a row labelled int(m) with a sqrt(m) band.
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            uncertainty_vs_m(reference_params(), m_grid)
