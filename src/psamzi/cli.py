@@ -1,17 +1,17 @@
 """Command-line interface: figure scans and single-point queries.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when every emitted
-scan row is a dark-point sentinel.
+Exit codes: 0 on success, 1 on a self-check mismatch, 2 on configuration
+errors (unreadable config or expected-values files included), 3 when every
+emitted scan row is a dark-point sentinel.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .config import ScanSpec, linspace, load_config
+from .config import ScanSpec, linspace, load_config, read_json_object
 from .errors import ConfigError
 from .runner import (
     render_csv,
@@ -95,11 +95,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "single":
             record = run_single(config)
-            if getattr(args, "self_check", None):
-                expected_path = Path(args.self_check)
-                if not expected_path.exists():
-                    raise ConfigError(f"expected-values file not found: {expected_path}")
-                expected = json.loads(expected_path.read_text(encoding="utf-8"))
+            if args.self_check:
+                expected = read_json_object(args.self_check, "expected-values")
                 mismatches = self_check(record, expected)
                 if mismatches:
                     for line in mismatches:

@@ -23,14 +23,6 @@ DEFAULT_RUNS = 200
 # Default LO amplitude; ten photons in the reference beam.
 DEFAULT_BETA_MAG = math.sqrt(10.0)
 
-_TOP_KEYS = {"mzi", "lo", "detector", "shots", "scan", "output", "chi_values", "n_values"}
-_MZI_KEYS = {"theta1", "theta2", "gamma", "chi", "n_photons", "input_phase"}
-_LO_KEYS = {"beta_mag", "xi", "delta"}
-_DETECTOR_KEYS = {"k_max", "n_sat"}
-_SHOTS_KEYS = {"seed", "runs"}
-_SCAN_KEYS = {"variable", "grid"}
-_OUTPUT_KEYS = {"path", "format", "precision"}
-
 
 @dataclass
 class ScanSpec:
@@ -79,7 +71,6 @@ class RunConfig:
         self,
         theta2: float | None = None,
         chi: float | None = None,
-        gamma: float | None = None,
         n_photons: float | None = None,
     ) -> MziParams:
         """Build interferometer parameters, overriding individual knobs."""
@@ -90,16 +81,8 @@ class RunConfig:
         if use_chi is None:
             raise ConfigError("mzi.chi is required for this run")
         n = self.n_photons if n_photons is None else n_photons
-        try:
-            return MziParams(
-                theta2=use_theta2,
-                chi=use_chi,
-                alpha=coherent_amplitude(n, self.input_phase),
-                theta1=self.theta1,
-                gamma=self.gamma if gamma is None else gamma,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build(MziParams, theta2=use_theta2, chi=use_chi, theta1=self.theta1,
+                      gamma=self.gamma, alpha=coherent_amplitude(n, self.input_phase))
 
     def lo_config(self) -> LoConfig:
         """The configured LO, or the default one phased for peak sensitivity."""
@@ -108,48 +91,97 @@ class RunConfig:
         return LoConfig(beta_mag=DEFAULT_BETA_MAG, xi=math.pi / 2 + self.input_phase)
 
 
+def _build(cls, **values):
+    """``cls(**values)``, with the ValueError of its own checks as a ConfigError."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _require_keys(section: dict, allowed: set[str], where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _section(raw: dict, name: str, keys: set[str]) -> dict:
-    """The object ``raw[name]``, {} when absent, with unknown keys rejected."""
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be an object")
-    _require_keys(section, keys, name)
-    return section
-
-
-def _number(section: dict, key: str, where: str) -> float:
-    value = section[key]
+def _number(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
-        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
-def _integer(section: dict, key: str, where: str) -> int:
-    value = section[key]
+def _integer(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
 
 
-def _number_list(value: object, where: str) -> list[float]:
+def _string(value: object, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _number_list(value: object, name: str) -> list[float]:
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where} must be a nonempty list of numbers")
+        raise ConfigError(f"{name} must be a nonempty list of numbers")
     out = []
     for entry in value:
         if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ConfigError(f"{where} must contain only numbers, got {entry!r}")
+            raise ConfigError(f"{name} must contain only numbers, got {entry!r}")
         if not math.isfinite(entry):
-            raise ConfigError(f"{where} must contain only finite numbers")
+            raise ConfigError(f"{name} must contain only finite numbers")
         out.append(float(entry))
     return out
+
+
+def _choice(options: tuple[str, ...]):
+    def parse(value: object, name: str) -> str:
+        if value not in options:
+            raise ConfigError(f"{name} must be one of {options}, got {value!r}")
+        return value
+    return parse
+
+
+def _bounded(parse, low: int, high: int | None = None):
+    """``parse``, then require ``low <= value``, and ``value <= high`` if given."""
+    def check(value: object, name: str):
+        value = parse(value, name)
+        if high is None and value < low:
+            raise ConfigError(f"{name} must be >= {low}")
+        if high is not None and not low <= value <= high:
+            raise ConfigError(f"{name} must lie in [{low}, {high}]")
+        return value
+    return check
+
+
+# The only list of each section's keys, with the parser that checks its value.
+# The keys equal the fields of the dataclass the section builds.
+_SECTIONS = {
+    "mzi": {"theta1": _number, "theta2": _number, "gamma": _number, "chi": _number,
+            "n_photons": _bounded(_number, 0), "input_phase": _number},
+    "lo": {"beta_mag": _number, "xi": _number, "delta": _number},
+    "detector": {"k_max": _number, "n_sat": _number},
+    "shots": {"seed": _bounded(_integer, 0), "runs": _bounded(_integer, 2)},
+    "scan": {"variable": _choice(SCAN_VARIABLES), "grid": _number_list},
+    "output": {"path": _string, "format": _choice(OUTPUT_FORMATS),
+               "precision": _bounded(_integer, 1, 17)},
+}
+_TOP_KEYS = {*_SECTIONS, "chi_values", "n_values"}
+
+
+def _section(raw: dict, name: str) -> dict:
+    """The object ``raw[name]``, {} if absent, checked against ``_SECTIONS``."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object")
+    parsers = _SECTIONS[name]
+    _require_keys(section, set(parsers), name)
+    return {key: parse(section[key], f"{name}.{key}")
+            for key, parse in parsers.items() if key in section}
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -180,24 +212,30 @@ def strictly_monotone(grid: list[float]) -> bool:
     return all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
 
 
-def _check_scan(scan: ScanSpec) -> ScanSpec:
-    if scan.variable not in SCAN_VARIABLES:
-        raise ConfigError(
-            f"scan.variable must be one of {SCAN_VARIABLES}, got {scan.variable!r}"
-        )
-    if not all(math.isfinite(x) for x in scan.grid):
-        raise ConfigError("scan.grid must contain only finite numbers")
-    if not strictly_monotone(scan.grid):
-        raise ConfigError("scan.grid must be strictly monotone")
-    return scan
-
-
-def _parse_scan(section: dict) -> ScanSpec:
-    if "variable" not in section or "grid" not in section:
+def _scan(values: dict) -> ScanSpec:
+    if values.keys() != _SECTIONS["scan"].keys():
         raise ConfigError("scan requires both 'variable' and 'grid'")
-    return _check_scan(
-        ScanSpec(section["variable"], _number_list(section["grid"], "scan.grid"))
-    )
+    if not strictly_monotone(values["grid"]):
+        raise ConfigError("scan.grid must be strictly monotone")
+    return ScanSpec(**values)
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``what`` names the file in errors."""
+    file_path = Path(path)
+    try:
+        text = file_path.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} file not found: {file_path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {file_path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {file_path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} root must be a JSON object")
+    return raw
 
 
 def load_config(
@@ -211,122 +249,47 @@ def load_config(
     """Load a JSON config file and apply CLI overrides.
 
     Every recognized section is validated eagerly so a malformed config fails
-    before any computation starts.
+    before any computation starts.  An override passes the same value rule as
+    its config key.
     """
-    raw: dict = {}
-    if path is not None:
-        file_path = Path(path)
-        if not file_path.exists():
-            raise ConfigError(f"config file not found: {file_path}")
-        try:
-            raw = json.loads(file_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {file_path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-
+    raw = {} if path is None else read_json_object(path, "config")
     _require_keys(raw, _TOP_KEYS, "top-level")
-    config = RunConfig()
+    mzi, lo, det, shots, scan_values, output = (_section(raw, n) for n in _SECTIONS)
 
-    mzi = _section(raw, "mzi", _MZI_KEYS)
-    if "theta1" in mzi:
-        config.theta1 = _number(mzi, "theta1", "mzi")
-        if not balanced_bs1(config.theta1):
-            raise ConfigError("mzi.theta1 must be pi/4: every closed form "
-                              "assumes a balanced first splitter")
-    if "theta2" in mzi:
-        config.theta2 = _number(mzi, "theta2", "mzi")
-    if "gamma" in mzi:
-        config.gamma = _number(mzi, "gamma", "mzi")
-    if "chi" in mzi:
-        config.chi = _number(mzi, "chi", "mzi")
-    if "n_photons" in mzi:
-        config.n_photons = _number(mzi, "n_photons", "mzi")
-        if config.n_photons < 0:
-            raise ConfigError("mzi.n_photons must be >= 0")
-    if "input_phase" in mzi:
-        config.input_phase = _number(mzi, "input_phase", "mzi")
-
+    config = RunConfig(**mzi, output=OutputSpec(**output))
+    if not balanced_bs1(config.theta1):
+        raise ConfigError("mzi.theta1 must be pi/4: every closed form "
+                          "assumes a balanced first splitter")
     if "lo" in raw:
-        lo = _section(raw, "lo", _LO_KEYS)
         if "beta_mag" not in lo:
             raise ConfigError("lo.beta_mag is required when lo is present")
-        try:
-            config.lo = LoConfig(
-                beta_mag=_number(lo, "beta_mag", "lo"),
-                xi=_number(lo, "xi", "lo")
-                if "xi" in lo
-                else math.pi / 2 + config.input_phase,
-                delta=_number(lo, "delta", "lo") if "delta" in lo else 0.0,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
+        config.lo = _build(LoConfig, **{"xi": math.pi / 2 + config.input_phase, **lo})
     if "detector" in raw:
-        det = _section(raw, "detector", _DETECTOR_KEYS)
-        if "k_max" not in det or "n_sat" not in det:
+        if det.keys() != _SECTIONS["detector"].keys():
             raise ConfigError("detector requires both 'k_max' and 'n_sat'")
-        try:
-            config.detector = DetectorParams(
-                k_max=_number(det, "k_max", "detector"),
-                n_sat=_number(det, "n_sat", "detector"),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
+        config.detector = _build(DetectorParams, **det)
     if "shots" in raw:
-        sh = _section(raw, "shots", _SHOTS_KEYS)
-        spec = ShotSpec()
-        if "seed" in sh:
-            spec.seed = _integer(sh, "seed", "shots")
-        if "runs" in sh:
-            spec.runs = _integer(sh, "runs", "shots")
-            if spec.runs < 2:
-                raise ConfigError("shots.runs must be >= 2")
-        config.shots = spec
-
+        config.shots = ShotSpec(**shots)
     if "scan" in raw:
-        config.scan = _parse_scan(_section(raw, "scan", _SCAN_KEYS))
-
-    if "output" in raw:
-        output = _section(raw, "output", _OUTPUT_KEYS)
-        spec = OutputSpec()
-        if "path" in output:
-            spec.path = str(output["path"])
-        if "format" in output:
-            if output["format"] not in OUTPUT_FORMATS:
-                raise ConfigError(
-                    f"output.format must be one of {OUTPUT_FORMATS}, "
-                    f"got {output['format']!r}"
-                )
-            spec.format = output["format"]
-        if "precision" in output:
-            spec.precision = _integer(output, "precision", "output")
-            if not 1 <= spec.precision <= 17:
-                raise ConfigError("output.precision must lie in [1, 17]")
-        config.output = spec
-
+        config.scan = _scan(scan_values)
     if "chi_values" in raw:
         config.chi_values = _number_list(raw["chi_values"], "chi_values")
     if "n_values" in raw:
-        values = _number_list(raw["n_values"], "n_values")
-        if any(v < 0 for v in values):
+        config.n_values = _number_list(raw["n_values"], "n_values")
+        if any(v < 0 for v in config.n_values):
             raise ConfigError("n_values must be >= 0")
-        config.n_values = values
 
     # CLI overrides win over the file.
     if scan is not None:
-        config.scan = _check_scan(scan)
+        override = {"variable": scan.variable, "grid": list(scan.grid)}
+        config.scan = _scan(_section({"scan": override}, "scan"))
     if seed is not None:
-        if config.shots is None:
-            config.shots = ShotSpec()
-        config.shots.seed = seed
+        config.shots = config.shots or ShotSpec()
+        config.shots.seed = _SECTIONS["shots"]["seed"](seed, "seed")
     if out is not None:
-        config.output.path = out
+        config.output.path = _SECTIONS["output"]["path"](out, "out")
     if fmt is not None:
-        if fmt not in OUTPUT_FORMATS:
-            raise ConfigError(f"format must be one of {OUTPUT_FORMATS}, got {fmt!r}")
-        config.output.format = fmt
+        config.output.format = _SECTIONS["output"]["format"](fmt, "format")
     return config
 
 

@@ -38,9 +38,15 @@ class ShotRun:
     m: int
     seed: int
     samples: np.ndarray
-    sample_mean: float
-    sample_std: float
     pulse_duration: float = 1.0
+
+    @property
+    def sample_mean(self) -> float:
+        return float(self.samples.mean())
+
+    @property
+    def sample_std(self) -> float:
+        return float(self.samples.std(ddof=1)) if self.m > 1 else 0.0
 
     @property
     def total_time(self) -> float:
@@ -81,14 +87,7 @@ def sample_shots(
     rng = np.random.default_rng(seed)
     mean = quadrature_mean(alpha_f, xi)
     samples = mean + QUADRATURE_STD * rng.standard_normal(m)
-    return ShotRun(
-        m=m,
-        seed=seed,
-        samples=samples,
-        sample_mean=float(samples.mean()),
-        sample_std=float(samples.std(ddof=1)) if m > 1 else 0.0,
-        pulse_duration=pulse_duration,
-    )
+    return ShotRun(m=m, seed=seed, samples=samples, pulse_duration=pulse_duration)
 
 
 def averaged_stats(m: int, base: QuadratureStats) -> QuadratureStats:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from psamzi import ConfigError, averaged_stats, quadrature_stats_exact, uncertainty_vs_m
 from psamzi.cli import main
-from psamzi.config import ScanSpec, linspace, load_config
+from psamzi.config import _SECTIONS, _TOP_KEYS, ScanSpec, linspace, load_config
 from psamzi.runner import (
     DEFAULT_THETA2_GRID_POINTS,
     DEFAULT_THETA2_GRID_START,
@@ -132,6 +133,10 @@ class TestConfig:
         ({"n_values": [10, -1]}, {}, "n_values must be >= 0"),
         (None, {}, "config file not found: "),
         ({}, {"fmt": "xml"}, "format must be one of ('csv', 'json'), got 'xml'"),
+        ({"shots": {"seed": -5}}, {}, "shots.seed must be >= 0"),
+        ({}, {"seed": -1}, "seed must be >= 0"),
+        ({"output": {"path": None}}, {}, "output.path must be a string, got None"),
+        ({"output": {"path": 7}}, {}, "output.path must be a string, got 7"),
     ])
     def test_rejection_messages(self, tmp_path, raw, overrides, message):
         path = tmp_path / "cfg.json"
@@ -139,6 +144,17 @@ class TestConfig:
             path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(path, **overrides)
+
+    def test_readme_example_covers_schema(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
+        path = tmp_path / "readme.json"
+        path.write_text(block)
+        load_config(path)
+        raw = json.loads(block)
+        assert set(raw) == _TOP_KEYS
+        for name, parsers in _SECTIONS.items():
+            assert set(raw[name]) == set(parsers), name
 
     def test_defaults(self):
         config = load_config(None)
@@ -410,11 +426,35 @@ class TestCli:
         assert main(["fig2", "--config", str(bad)]) == 2
         assert main(["fig3", "--scan", "m", "1", "100", "2"]) == 2  # no seed
         assert main(["fig4"]) == 2  # no detector
+        assert main(["fig3", "--seed", "-1"]) == 2
         # One-point grids pass the monotone check but are not finite.
         assert main(["fig3", "--seed", "1", "--scan", "m", "nan", "nan", "1"]) == 2
         assert main(["fig2", "--scan", "theta2", "inf", "inf", "1"]) == 2
         # A finite span too wide for a float gives a non-finite grid.
         assert main(["fig2", "--scan", "theta2", "-1" + "0" * 308, "1e308", "3"]) == 2
+
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--config", None, "cannot read config file"),
+        ("--config", b"{\"mzi\": {\"chi\": \"\xff\"}}", "cannot read config file"),
+        ("--self-check", b"{not json", "invalid JSON in"),
+        ("--self-check", b"[1, 2]", "expected-values root must be a JSON object"),
+    ])
+    def test_unreadable_file_exit_code(self, tmp_path, capsys, flag, content, message):
+        # A directory, a non-UTF-8 file, malformed JSON and a non-object root
+        # are configuration errors, not tracebacks or self-check mismatches.
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"mzi": {"theta2": 0.7, "chi": 1e-3}}))
+        if flag == "--config":
+            argv = ["single", "--config", str(path)]
+        else:
+            argv = ["single", "--config", str(point), "--self-check", str(path)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_sentinel_only_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"

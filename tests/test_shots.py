@@ -113,18 +113,13 @@ class TestEstimator:
         params = reference_params()
         amp = chi_tilde_exact(params)
         exact_mean = quadrature_stats_exact(params).mean
-        run = ShotRun(
-            m=1, seed=0, samples=np.array([exact_mean]),
-            sample_mean=exact_mean, sample_std=0.0,
-        )
+        run = ShotRun(m=1, seed=0, samples=np.array([exact_mean]))
         estimate = estimate_chi_from_run(run, amp.alpha_f_mag, NEAR_DARK)
         assert not estimate.clamped
         assert abs(estimate.chi_hat - 1e-2) < 1e-10
 
     def test_clamps_noisy_excursion(self):
-        run = ShotRun(
-            m=1, seed=0, samples=np.array([1.02]), sample_mean=1.02, sample_std=0.0
-        )
+        run = ShotRun(m=1, seed=0, samples=np.array([1.02]))
         estimate = estimate_chi_from_run(run, 1.0, NEAR_DARK)
         assert estimate.clamped
         assert math.isclose(estimate.chi_tilde_hat, math.pi / 2, rel_tol=1e-12)

@@ -1,0 +1,152 @@
+"""Compare the psamzi CLI of this tree with the CLI of another tree, byte for byte.
+
+Usage: python tools/cli_diff.py OTHER_ROOT
+
+OTHER_ROOT is another checkout of the repository, for example an export of
+the parent commit.  Each case of a fixed list runs as ``python -m psamzi.cli``
+once with this tree's ``src/`` and once with OTHER_ROOT's ``src/`` on
+PYTHONPATH, each time in a fresh empty working directory.  The script compares
+stdout, stderr, the exit code and every file the run left in that directory
+(the ``--out`` file, or a stray file such as one named after a bad
+``output.path``).  It prints ``k of n identical`` and each case that differs,
+and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DARK = math.pi / 4
+DETECTOR = {"k_max": 450.0, "n_sat": 500.0}
+POINTS = {
+    "below": {"theta2": DARK - 0.003, "chi": 0.01},
+    "at": {"theta2": DARK, "chi": 0.01},
+    "past": {"theta2": DARK + 0.01, "chi": -0.02, "gamma": 0.05},
+}
+GRIDS = {
+    "default grid": [],
+    "2001-point grid": ["--scan", "theta2", "0.6", "0.95", "2001"],
+    "[pi/4] grid": ["--scan", "theta2", repr(DARK), repr(DARK), "1"],
+    "inf grid": ["--scan", "theta2", "inf", "inf", "1"],
+}
+FORMATS = {"csv": ["--format", "csv", "--out", "out.csv"], "json": ["--format", "json"]}
+
+
+def write_inputs(folder: Path) -> dict[str, str]:
+    """Write the files the cases read; return their paths by name."""
+    objects: dict[str, object] = {
+        "det": {"detector": DETECTOR},
+        "neg_seed": {"shots": {"seed": -5}},
+        "null_path": {"output": {"path": None}},
+        "int_path": {"mzi": POINTS["below"], "output": {"path": 7}},
+        "bad_detector": {"detector": {"k_max": "x"}},
+        "list_root": [1, 2],
+        "empty": {},
+    }
+    for name, mzi in POINTS.items():
+        objects[name] = {"mzi": mzi}
+        objects[f"{name}_det"] = {"mzi": mzi, "detector": DETECTOR}
+    paths = {name: folder / f"{name}.json" for name in objects}
+    for name, value in objects.items():
+        paths[name].write_text(json.dumps(value), encoding="utf-8")
+    paths["malformed"] = folder / "malformed.json"
+    paths["malformed"].write_text("{not json", encoding="utf-8")
+    paths["latin1"] = folder / "latin1.json"
+    paths["latin1"].write_bytes(b'{"mzi": {"chi": "\xff"}}')
+    paths["directory"] = folder / "directory"
+    paths["directory"].mkdir()
+    paths["missing"] = folder / "missing.json"
+    return {name: str(path) for name, path in paths.items()}
+
+
+def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
+    """(label, argv) for every case, valid ones first."""
+    scans = {
+        "fig2": ["fig2"],
+        "fig3 seed 1": ["fig3", "--seed", "1"],
+        "fig3 seed 7": ["fig3", "--seed", "7"],
+        "fig4 detector": ["fig4", "--config", f["det"]],
+    }
+    out = [
+        (f"{name}, {grid}, {fmt}", argv + scan + fmt_args)
+        for name, argv in scans.items()
+        for grid, scan in GRIDS.items()
+        for fmt, fmt_args in FORMATS.items()
+    ]
+    for point in POINTS:
+        for suffix, detector in (("", "no detector"), ("_det", "detector")):
+            for fmt, fmt_args in FORMATS.items():
+                out.append((f"single {point} dark point, {detector}, {fmt}",
+                            ["single", "--config", f[point + suffix]] + fmt_args))
+    below = ["single", "--config", f["below"]]
+    out += [
+        ("single self-check mismatch", below + ["--self-check", f["empty"]]),
+        ("fig3 --seed -1", ["fig3", "--seed", "-1"]),
+        ("fig2 --seed -1", ["fig2", "--seed", "-1"]),
+        ("fig4 --seed -1", ["fig4", "--config", f["det"], "--seed", "-1"]),
+        ("single --seed -1", below + ["--seed", "-1"]),
+        ("fig3 shots.seed -5", ["fig3", "--config", f["neg_seed"]]),
+        ("fig2 output.path null", ["fig2", "--config", f["null_path"]]),
+        ("single output.path 7", ["single", "--config", f["int_path"]]),
+        ("fig2 --config directory", ["fig2", "--config", f["directory"]]),
+        ("fig2 --config non-UTF-8", ["fig2", "--config", f["latin1"]]),
+        ("fig2 --config missing", ["fig2", "--config", f["missing"]]),
+        ("single --self-check malformed", below + ["--self-check", f["malformed"]]),
+        ("single --self-check list", below + ["--self-check", f["list_root"]]),
+        ("single --self-check missing", below + ["--self-check", f["missing"]]),
+        ("fig4 multi-fault detector", ["fig4", "--config", f["bad_detector"]]),
+    ]
+    return out
+
+
+def run(root: Path, argv: list[str]) -> dict[str, object]:
+    """Run one case with ``root``'s psamzi in a fresh working directory."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run(
+            [sys.executable, "-m", "psamzi.cli", *argv],
+            cwd=cwd, env=env, capture_output=True, timeout=300,
+        )
+        files = {p.name: p.read_bytes() for p in Path(cwd).iterdir() if p.is_file()}
+    return {"stdout": proc.stdout, "stderr": proc.stderr, "exit code": proc.returncode,
+            "files": files}
+
+
+def last_line(stderr: bytes) -> str:
+    lines = stderr.decode("utf-8", "replace").strip().splitlines()
+    return lines[-1] if lines else ""
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other_root", type=Path, help="the tree to compare with")
+    other = parser.parse_args(argv).other_root.resolve()
+    if not (other / "src" / "psamzi").is_dir():
+        parser.error(f"{other} has no src/psamzi")
+    with tempfile.TemporaryDirectory() as folder:
+        all_cases = cases(write_inputs(Path(folder)))
+        differing = []
+        for label, case_argv in all_cases:
+            mine, theirs = run(ROOT, case_argv), run(other, case_argv)
+            parts = [key for key in mine if mine[key] != theirs[key]]
+            if parts:
+                differing.append((label, parts, mine, theirs))
+    print(f"{len(all_cases) - len(differing)} of {len(all_cases)} identical")
+    for label, parts, mine, theirs in differing:
+        print(f"differs: {label}: {', '.join(parts)}")
+        for side, result in (("this tree", mine), ("other tree", theirs)):
+            print(f"  {side}: exit {result['exit code']}, files "
+                  f"{sorted(result['files'])}, stderr: {last_line(result['stderr'])}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
