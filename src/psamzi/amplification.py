@@ -90,28 +90,27 @@ def chi_tilde_aav(
     )
 
 
-def port_depth(params: MziParams) -> float:
-    """Depth 1 - sin(2*theta2) * cos(chi - gamma) = 2 |alpha_f|^2 / N of the port."""
-    return 1.0 - math.sin(2.0 * params.theta2) * math.cos(params.chi - params.gamma)
-
-
 def chi_tilde_exact(params: MziParams) -> AmplifiedPhase:
     """Exact amplified phase, valid at any coupling strength.
 
-    Equals arg(alpha_f) - arg(alpha) wrapped to (-pi, pi].  Raises
-    ZeroAmplitude at an exact dark point, where the phase is undefined, and
-    ValueError for an unbalanced first splitter, which the closed form does
-    not describe.
+    Phase and magnitude both come from the unit port amplitude: chi_tilde =
+    arg(alpha_f) - arg(alpha) wrapped to (-pi, pi] and |alpha_f| = |alpha| /
+    sqrt(2) * |unit|.  Raises ZeroAmplitude at an exact dark point, where the
+    phase is undefined, and ValueError for an unbalanced first splitter, which
+    the closed form does not describe.
     """
     require_balanced_bs1(params)
-    mag = math.sqrt(params.n_photons / 2.0) * math.sqrt(max(port_depth(params), 0.0))
-    if mag < ZERO_AMPLITUDE_TOL:
+    unit = port_amplitudes(params)[0]
+    mag = abs(params.alpha) / math.sqrt(2.0) * abs(unit)
+    # At the float dark point rounding leaves |unit| near 1e-16, which a large
+    # N would lift above the threshold; the phase of that residue is noise.
+    if min(mag, abs(unit)) < ZERO_AMPLITUDE_TOL:
         raise ZeroAmplitude(
             f"postselected amplitude vanishes at theta2={params.theta2}, "
             f"chi={params.chi}, gamma={params.gamma}"
         )
     return AmplifiedPhase(
-        chi_tilde=wrap_angle(cmath.phase(port_amplitudes(params)[0])),
+        chi_tilde=wrap_angle(cmath.phase(unit)),
         alpha_f_mag=mag,
         mode=MODE_EXACT,
     )

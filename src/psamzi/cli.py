@@ -1,7 +1,8 @@
 """Command-line interface: figure scans and single-point queries.
 
 Exit codes: 0 on success, 1 on a self-check mismatch, 2 on configuration
-errors (unreadable config or expected-values files included), 3 when every
+errors (unreadable config or expected-values files and an unwritable output
+file included) and on flags the subcommand does not take, 3 when every
 emitted scan row is a dark-point sentinel.
 """
 
@@ -42,15 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument(
-            "--scan",
-            nargs=4,
-            metavar=("VAR", "START", "STOP", "POINTS"),
-            help="override the scan grid, e.g. --scan theta2 0.05 0.78 200",
-        )
-        cmd.add_argument("--seed", type=int, help="seed for Monte-Carlo columns")
         cmd.add_argument("--out", help="output file (default: stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), dest="fmt")
         cmd.add_argument(
             "--workers",
             type=int,
@@ -63,6 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="EXPECTED_JSON",
                 help="compare the record against stored expected values",
             )
+            continue
+        cmd.add_argument(
+            "--scan",
+            nargs=4,
+            metavar=("VAR", "START", "STOP", "POINTS"),
+            help="override the scan grid, e.g. --scan theta2 0.05 0.78 200",
+        )
+        cmd.add_argument("--format", choices=("csv", "json"), dest="fmt")
+        if name == "fig3":
+            cmd.add_argument("--seed", type=int, help="seed for Monte-Carlo columns")
     return parser
 
 
@@ -80,18 +83,22 @@ def _parse_scan_flag(values: list[str]) -> ScanSpec:
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigError(f"cannot write output file {path}: {reason}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    flags = vars(args)
     try:
-        scan = _parse_scan_flag(args.scan) if args.scan else None
-        config = load_config(
-            args.config, scan=scan, seed=args.seed, out=args.out, fmt=args.fmt
-        )
+        scan = _parse_scan_flag(args.scan) if flags.get("scan") else None
+        config = load_config(args.config, scan=scan, seed=flags.get("seed"),
+                             out=args.out, fmt=flags.get("fmt"))
 
         if args.command == "single":
             record = run_single(config)

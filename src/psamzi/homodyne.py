@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .amplification import chi_tilde_aav, chi_tilde_exact, invert_chi, port_depth
+from .amplification import AmplifiedPhase, chi_tilde_aav, chi_tilde_exact, invert_chi
 from .errors import DomainError, ZeroSignal
 from .optics import MziParams, require_balanced_bs1
 
@@ -52,55 +52,47 @@ def quadrature_mean(alpha_f: complex, xi: float) -> float:
     return (alpha_f * cmath.exp(-1j * xi)).real
 
 
+def phase_slope(amp: AmplifiedPhase) -> float:
+    """Readout slope |d mean / d chi_tilde| = |alpha_f| * |cos(chi_tilde)|."""
+    return amp.alpha_f_mag * abs(math.cos(amp.chi_tilde))
+
+
+def _one_shot_stats(amp: AmplifiedPhase, sign: float = 1.0) -> QuadratureStats:
+    """Statistics of one readout with mean sign * |alpha_f| * sin(chi_tilde).
+
+    The sensitivity follows from error propagation with the 1/2 shot
+    fluctuation: chi_tilde * phase_slope(amp) / QUADRATURE_STD.
+    """
+    mean = math.copysign(amp.alpha_f_mag, sign) * math.sin(amp.chi_tilde)
+    return QuadratureStats(
+        mean=mean,
+        std_dev=QUADRATURE_STD,
+        snr=mean / QUADRATURE_STD,
+        sensitivity=amp.chi_tilde * phase_slope(amp) / QUADRATURE_STD,
+    )
+
+
 def quadrature_stats_aav(params: MziParams) -> QuadratureStats:
     """Quadrature statistics in the small-coupling limit (gamma = 0 scheme only).
 
-    mean = sqrt(N/2) * (cos(theta2) - sin(theta2)) * sin(chi_tilde) and the
-    sensitivity follows from error propagation with the 1/2 shot fluctuation:
-    sqrt(2N) * |(cos(theta2) - sin(theta2)) * cos(chi_tilde)| * chi_tilde.
-    Raises ValueError for an unbalanced first splitter.
+    mean = sqrt(N/2) * (cos(theta2) - sin(theta2)) * sin(chi_tilde), so it
+    changes sign past the dark point.  Raises ValueError for an unbalanced
+    first splitter.
     """
     require_balanced_bs1(params)
     if params.gamma != 0.0:
         raise ValueError("small-coupling statistics are defined for the "
                          "splitter-modulation scheme (gamma = 0)")
     amp = chi_tilde_aav(params.chi, params.theta2, 0.0, abs(params.alpha))
-    n = params.n_photons
-    projection = math.cos(params.theta2) - math.sin(params.theta2)
-    mean = math.sqrt(n / 2.0) * projection * math.sin(amp.chi_tilde)
-    sensitivity = (
-        math.sqrt(2.0 * n)
-        * abs(projection * math.cos(amp.chi_tilde))
-        * amp.chi_tilde
-    )
-    return QuadratureStats(
-        mean=mean,
-        std_dev=QUADRATURE_STD,
-        snr=mean / QUADRATURE_STD,
-        sensitivity=sensitivity,
-    )
+    return _one_shot_stats(amp, math.cos(params.theta2) - math.sin(params.theta2))
 
 
 def quadrature_stats_exact(params: MziParams) -> QuadratureStats:
     """Quadrature statistics at any coupling strength.
 
-    mean = |alpha_f| * sin(chi_tilde) with the exact amplified phase, and
-    sensitivity = sqrt(2N * [1 - sin(2*theta2) * cos(chi - gamma)])
-    * |cos(chi_tilde)| * chi_tilde.
+    mean = |alpha_f| * sin(chi_tilde) with the exact amplified phase.
     """
-    amp = chi_tilde_exact(params)
-    mean = amp.alpha_f_mag * math.sin(amp.chi_tilde)
-    sensitivity = (
-        math.sqrt(2.0 * params.n_photons * max(port_depth(params), 0.0))
-        * abs(math.cos(amp.chi_tilde))
-        * amp.chi_tilde
-    )
-    return QuadratureStats(
-        mean=mean,
-        std_dev=QUADRATURE_STD,
-        snr=mean / QUADRATURE_STD,
-        sensitivity=sensitivity,
-    )
+    return _one_shot_stats(chi_tilde_exact(params))
 
 
 def modulation_error_compare(

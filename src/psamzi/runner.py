@@ -21,10 +21,10 @@ from .errors import (
     ZeroAmplitude,
     ZeroSignal,
 )
-from .homodyne import quadrature_mean, quadrature_stats_exact
-from .optics import intensity_difference, propagate_mzi
-from .saturation import error_ratio
-from .shots import averaged_stats, phase_slope, sample_shots, uncertainty_vs_m
+from .homodyne import LoConfig, phase_slope, quadrature_mean, quadrature_stats_exact
+from .optics import MziParams, intensity_difference, propagate_mzi
+from .saturation import DetectorParams, SaturationReport, error_ratio
+from .shots import averaged_stats, sample_shots, uncertainty_vs_m
 
 # Exposes the amplification ramp without touching the dark-point singularity.
 DEFAULT_THETA2_GRID_START = 0.05
@@ -222,6 +222,16 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     )
 
 
+def _saturation(params: MziParams, lo: LoConfig, det: DetectorParams) -> SaturationReport:
+    """``error_ratio``, with exact dark postselection as a sentinel.
+
+    There the linear inversion is degenerate even when the port amplitude
+    itself is nonzero, so ``weak_value``'s DarkPointSingularity is raised.
+    """
+    weak_value(params.theta2, params.gamma)
+    return error_ratio(params, lo, det)
+
+
 def run_fig4(config: RunConfig, workers: int = 1) -> Table:
     """Saturation error ratio versus postselection angle, per input intensity.
 
@@ -236,10 +246,7 @@ def run_fig4(config: RunConfig, workers: int = 1) -> Table:
 
     def point(n_photons: float, theta2: float) -> list[object]:
         params = config.mzi_params(theta2=theta2, chi=chi, n_photons=n_photons)
-        # Exact dark postselection makes the linear inversion degenerate
-        # even when the port amplitude itself is nonzero.
-        weak_value(theta2, config.gamma)
-        report = error_ratio(params, lo, det)
+        report = _saturation(params, lo, det)
         return [report.n1, report.n2, report.eta_e]
 
     return _theta2_scan(
@@ -258,8 +265,9 @@ def run_fig4(config: RunConfig, workers: int = 1) -> Table:
 def run_single(config: RunConfig) -> dict:
     """One JSON record with every derived quantity at a single working point.
 
-    Quantities that are undefined at the configured point (weak value at an
-    exact dark point, phase of a vanishing amplitude) are emitted as null.
+    Quantities that are undefined at the configured point (weak value and
+    saturation bias at an exact dark point, phase of a vanishing amplitude)
+    are emitted as null, by the same rule as fig4's sentinel rows.
     """
     if config.scan is not None:
         raise ConfigError("single takes no scan block")
@@ -310,7 +318,7 @@ def run_single(config: RunConfig) -> dict:
 
     if config.detector is not None:
         try:
-            report = error_ratio(params, lo, config.detector)
+            report = _saturation(params, lo, config.detector)
             record["saturation"] = {
                 "n1": report.n1,
                 "n2": report.n2,
@@ -319,7 +327,7 @@ def run_single(config: RunConfig) -> dict:
                 "chi_tilde_biased": report.chi_tilde_biased,
                 "eta_e": report.eta_e,
             }
-        except (ZeroAmplitude, ZeroSignal):
+        except _SENTINEL_ERRORS:
             record["saturation"] = None
     return record
 

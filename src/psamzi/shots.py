@@ -11,14 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .amplification import (
-    ZERO_AMPLITUDE_TOL,
-    AmplifiedPhase,
-    chi_tilde_exact,
-    invert_chi,
-)
+from .amplification import ZERO_AMPLITUDE_TOL, chi_tilde_exact, invert_chi
 from .errors import ZeroAmplitude
-from .homodyne import QUADRATURE_STD, QuadratureStats, quadrature_mean
+from .homodyne import QUADRATURE_STD, QuadratureStats, phase_slope, quadrature_mean
 from .optics import MziParams
 
 
@@ -126,11 +121,6 @@ def estimate_chi_from_run(
         chi_hat=invert_chi(chi_tilde_hat, theta2, gamma),
         clamped=clamped,
     )
-
-
-def phase_slope(amp: AmplifiedPhase) -> float:
-    """Readout slope |d mean / d chi_tilde| = |alpha_f| * |cos(chi_tilde)|."""
-    return amp.alpha_f_mag * abs(math.cos(amp.chi_tilde))
 
 
 @dataclass

@@ -160,9 +160,36 @@ class TestExactPhase:
             checked += 1
 
     def test_dark_point_raises(self):
-        params = MziParams(theta2=math.pi / 4, chi=0.3, alpha=2.0 + 0j, gamma=0.3)
+        # At the float dark point the unit port amplitude is a ~1e-16 rounding
+        # residue; a large N must not lift it over the zero-amplitude rule.
+        for n_photons in (0.0, 4.0, 1e4, 1e8):
+            params = MziParams(theta2=math.pi / 4, chi=0.3,
+                               alpha=coherent_amplitude(n_photons), gamma=0.3)
+            with pytest.raises(ZeroAmplitude):
+                chi_tilde_exact(params)
         with pytest.raises(ZeroAmplitude):
-            chi_tilde_exact(params)
+            chi_tilde_exact(MziParams(theta2=0.6, chi=0.1, alpha=0j))
+
+    @pytest.mark.parametrize("n_photons", [100.0, 1e4])
+    @pytest.mark.parametrize("gamma", [0.0, 0.01])
+    @pytest.mark.parametrize("chi", [1e-5, -1e-3, 0.02])
+    def test_port_intensity_near_dark_point(self, chi, gamma, n_photons):
+        # Oracle: |alpha_f|^2 = N [sin^2(pi/4 - theta2) + sin(2 theta2)
+        # sin^2((chi - gamma)/2)], a sum of non-negative terms that does not
+        # cancel.  sin(math.pi) is the error of math.pi, so adding a quarter
+        # of it gives pi/4 - theta2 for the float theta2 without rounding.
+        for k in range(2, 8):
+            for side in (-1.0, 1.0):
+                theta2 = math.pi / 4 + side * 10.0**-k
+                offset = (math.pi / 4 - theta2) + math.sin(math.pi) / 4
+                photons = n_photons * (
+                    math.sin(offset) ** 2
+                    + math.sin(2 * theta2) * math.sin((chi - gamma) / 2) ** 2
+                )
+                params = MziParams(theta2=theta2, chi=chi, gamma=gamma,
+                                   alpha=coherent_amplitude(n_photons))
+                got = chi_tilde_exact(params).alpha_f_mag ** 2
+                assert math.isclose(got, photons, rel_tol=1e-9), (k, side)
 
     @pytest.mark.parametrize("n_photons", [1.0, 100.0, 1e4])
     @pytest.mark.parametrize("chi", [-0.1, -1e-3, 1e-3, 0.1, 1.0])

@@ -152,6 +152,48 @@ class TestStatsExact:
             mean_exact = quadrature_stats_exact(params).mean
             assert abs(mean_aav - mean_exact) / abs(mean_exact) < 1e-3
 
+    def test_aav_mean_keeps_sign_past_dark_point(self):
+        # Past pi/4 the overlap cos(theta2) - sin(theta2) is negative; the
+        # small-coupling mean carries that sign and so matches the exact one.
+        for theta2 in np.linspace(math.pi / 4 + 0.005, 0.95, 50):
+            params = MziParams(theta2=theta2, chi=1e-4, alpha=10.0 + 0j)
+            mean_aav = quadrature_stats_aav(params).mean
+            mean_exact = quadrature_stats_exact(params).mean
+            assert abs(mean_aav - mean_exact) / abs(mean_exact) < 1e-3
+
+
+class TestInformationBound:
+    def test_fisher_information_of_port_quadrature(self):
+        # A homodyne readout of a coherent state has Fisher information
+        # 4 (d<x>/d chi)^2 about chi.  Postselection cannot beat the
+        # unpostselected bound: 2 N cos^2(theta2) in the postselected port,
+        # 2 N for both ports together (Jordan, Martinez-Rincon & Howell,
+        # PRX 4, 011031, 2014).  The derivative is a central difference.
+        rng = np.random.default_rng(2014)
+        step = 1e-6
+        worst = 0.0
+        for _ in range(2000):
+            theta2 = rng.uniform(0.0, math.pi / 2)
+            chi = rng.uniform(-1.5, 1.5)
+            gamma = rng.uniform(-math.pi, math.pi)
+            n = rng.uniform(1.0, 1e4)
+            xi, xi_bar = rng.uniform(-math.pi, math.pi, size=2)
+
+            def slopes(chi_value):
+                fields = propagate_mzi(MziParams(theta2=theta2, chi=chi_value,
+                                                 alpha=math.sqrt(n) + 0j, gamma=gamma))
+                return (quadrature_mean(fields.alpha_f, xi),
+                        quadrature_mean(fields.alpha_fbar, xi_bar))
+
+            (hi, hi_bar), (lo, lo_bar) = slopes(chi + step), slopes(chi - step)
+            info = 4 * ((hi - lo) / (2 * step)) ** 2
+            info_bar = 4 * ((hi_bar - lo_bar) / (2 * step)) ** 2
+            bound = 2 * n * math.cos(theta2) ** 2
+            assert info <= bound * (1 + 1e-6)
+            assert info + info_bar <= 2 * n * (1 + 1e-6)
+            worst = max(worst, info / bound)
+        assert worst > 0.99  # the bound is reached at the optimal LO phase
+
 
 class TestModulationError:
     def test_zero_offset(self):

@@ -456,6 +456,54 @@ class TestCli:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["fig2"], ["single"]], ids=["fig2", "single"])
+    @pytest.mark.parametrize("target", ["directory", "missing/out.csv"])
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, command, target):
+        # An output path that cannot be written is a configuration error,
+        # not a traceback with the exit code of a self-check mismatch.
+        (tmp_path / "directory").mkdir()
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"mzi": {"theta2": 0.7, "chi": 1e-3}}))
+        argv = command + ["--config", str(point), "--out", str(tmp_path / target)]
+        assert main(argv) == 2
+        assert "cannot write output file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fig2", "--seed", "5"],
+        ["fig4", "--seed", "5"],
+        ["single", "--seed", "5"],
+        ["single", "--format", "csv"],
+        ["single", "--scan", "theta2", "0.1", "0.2", "2"],
+    ])
+    def test_flags_a_subcommand_does_not_read_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_single_and_fig4_agree_at_dark_point(self, tmp_path, capsys):
+        # Exact dark postselection makes the linear inversion degenerate, so
+        # both report no saturation bias there.
+        detector = {"k_max": 450.0, "n_sat": 500.0}
+        fig4_cfg = tmp_path / "fig4.json"
+        fig4_cfg.write_text(json.dumps({
+            "mzi": {"chi": 0.01}, "detector": detector, "n_values": [100.0],
+            "scan": {"variable": "theta2", "grid": [math.pi / 4]},
+        }))
+        single_cfg = tmp_path / "single.json"
+        single_cfg.write_text(json.dumps({
+            "mzi": {"theta2": math.pi / 4, "chi": 0.01, "n_photons": 100.0},
+            "detector": detector,
+        }))
+        out = tmp_path / "fig4.csv"
+        assert main(["fig4", "--config", str(fig4_cfg), "--out", str(out)]) == 3
+        _, columns, rows = read_csv(out)
+        assert [cell(rows[0], columns, "eta_e")] == [None]
+        assert main(["single", "--config", str(single_cfg)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["saturation"] is None
+        assert record["chi_tilde_exact"] is not None
+
     def test_sentinel_only_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

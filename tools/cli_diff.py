@@ -38,6 +38,8 @@ GRIDS = {
     "inf grid": ["--scan", "theta2", "inf", "inf", "1"],
 }
 FORMATS = {"csv": ["--format", "csv", "--out", "out.csv"], "json": ["--format", "json"]}
+# single always writes its JSON record, to --out or to stdout.
+SINGLE_OUTPUTS = {"--out": ["--out", "out.json"], "stdout": []}
 
 
 def write_inputs(folder: Path) -> dict[str, str]:
@@ -50,6 +52,7 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "bad_detector": {"detector": {"k_max": "x"}},
         "list_root": [1, 2],
         "empty": {},
+        "chi_1e-5": {"chi_values": [1e-5]},
     }
     for name, mzi in POINTS.items():
         objects[name] = {"mzi": mzi}
@@ -83,11 +86,20 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
     ]
     for point in POINTS:
         for suffix, detector in (("", "no detector"), ("_det", "detector")):
-            for fmt, fmt_args in FORMATS.items():
-                out.append((f"single {point} dark point, {detector}, {fmt}",
-                            ["single", "--config", f[point + suffix]] + fmt_args))
+            for where, out_args in SINGLE_OUTPUTS.items():
+                out.append((f"single {point} dark point, {detector}, {where}",
+                            ["single", "--config", f[point + suffix]] + out_args))
     below = ["single", "--config", f["below"]]
     out += [
+        ("fig2 grid within 1e-7 of pi/4, chi 1e-5",
+         ["fig2", "--config", f["chi_1e-5"], "--scan", "theta2", "0.78539806",
+          "0.78539826", "5"]),
+        ("fig2 --out directory", ["fig2", "--out", f["directory"]]),
+        ("fig2 --out missing directory", ["fig2", "--out", f["directory"] + "/missing/x.csv"]),
+        ("single --out directory", below + ["--out", f["directory"]]),
+        ("fig2 --seed 5", ["fig2", "--seed", "5"]),
+        ("single --format csv", below + ["--format", "csv"]),
+        ("single --scan", below + ["--scan", "theta2", "0.1", "0.2", "2"]),
         ("single self-check mismatch", below + ["--self-check", f["empty"]]),
         ("fig3 --seed -1", ["fig3", "--seed", "-1"]),
         ("fig2 --seed -1", ["fig2", "--seed", "-1"]),
