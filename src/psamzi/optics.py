@@ -10,6 +10,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Below this distance from pi/4 the first splitter is treated as balanced and
 # the closed-form port amplitudes are used instead of step-by-step composition.

@@ -24,7 +24,7 @@ from .errors import (
 from .homodyne import LoConfig, phase_slope, quadrature_mean, quadrature_stats_exact
 from .optics import MziParams, intensity_difference, propagate_mzi
 from .saturation import DetectorParams, SaturationReport, error_ratio
-from .shots import averaged_stats, sample_shots, uncertainty_vs_m
+from .shots import averaged_stats, draw_shots, uncertainty_vs_m
 
 # Exposes the amplification ramp without touching the dark-point singularity.
 DEFAULT_THETA2_GRID_START = 0.05
@@ -149,10 +149,10 @@ def run_fig2(config: RunConfig, workers: int = 1) -> Table:
 def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     """Sensitivity and uncertainty band versus the number of averaged shots.
 
-    The Monte-Carlo column re-estimates the quadrature fluctuation from
-    ``runs`` independent seeded batches per grid point; per-point child seeds
-    are derived from (seed, point index).  ``workers`` is accepted for
-    compatibility and has no effect.
+    The Monte-Carlo column re-estimates the quadrature fluctuation from the
+    spread of ``runs`` batch means per grid point.  Row ``i`` draws its batches
+    in turn from one generator, ``numpy.random.default_rng([seed, i])``.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     import numpy as np
 
@@ -181,18 +181,13 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     params = config.mzi_params(theta2=theta2, chi=chi)
     stats = quadrature_stats_exact(params)
     amp = chi_tilde_exact(params)
-    alpha_f = propagate_mzi(params).alpha_f
+    mean = quadrature_mean(propagate_mzi(params).alpha_f, lo.effective_phase)
     slope = phase_slope(amp)
 
     rows: list[list[object]] = []
     for index, point in enumerate(uncertainty_vs_m(params, m_grid)):
-        child_seeds = np.random.SeedSequence([seed, index]).generate_state(runs)
-        means = np.array(
-            [
-                sample_shots(alpha_f, lo.effective_phase, point.m, int(s)).sample_mean
-                for s in child_seeds
-            ]
-        )
+        rng = np.random.default_rng([seed, index])
+        means = np.array([draw_shots(rng, mean, point.m).mean() for _ in range(runs)])
         std_mc = float(means.std(ddof=1))
         rows.append([
             point.m,

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .amplification import ZERO_AMPLITUDE_TOL, chi_tilde_exact, invert_chi
 from .errors import ZeroAmplitude
 from .homodyne import QUADRATURE_STD, QuadratureStats, phase_slope, quadrature_mean
 from .optics import MziParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _is_int(value: object) -> bool:
@@ -79,10 +83,13 @@ def sample_shots(
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    mean = quadrature_mean(alpha_f, xi)
-    samples = mean + QUADRATURE_STD * rng.standard_normal(m)
+    samples = draw_shots(np.random.default_rng(seed), quadrature_mean(alpha_f, xi), m)
     return ShotRun(m=m, seed=seed, samples=samples, pulse_duration=pulse_duration)
+
+
+def draw_shots(rng: np.random.Generator, mean: float, m: int) -> np.ndarray:
+    """The next ``m`` single-shot outcomes from ``rng``: mean plus shot noise."""
+    return mean + QUADRATURE_STD * rng.standard_normal(m)
 
 
 def averaged_stats(m: int, base: QuadratureStats) -> QuadratureStats:
@@ -146,15 +153,9 @@ def uncertainty_vs_m(params: MziParams, m_grid: list[int]) -> list[UncertaintyPo
     amp = chi_tilde_exact(params)
     slope = phase_slope(amp)
     single_shot = QUADRATURE_STD / slope if slope > 0 else math.inf
-    points = []
-    for m in m_grid:
-        band = single_shot / math.sqrt(m)
-        points.append(
-            UncertaintyPoint(
-                m=m,
-                chi_tilde=amp.chi_tilde,
-                lower=amp.chi_tilde - band,
-                upper=amp.chi_tilde + band,
-            )
-        )
-    return points
+    bands = [single_shot / math.sqrt(m) for m in m_grid]
+    return [
+        UncertaintyPoint(m=m, chi_tilde=amp.chi_tilde, lower=amp.chi_tilde - band,
+                         upper=amp.chi_tilde + band)
+        for m, band in zip(m_grid, bands)
+    ]

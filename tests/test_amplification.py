@@ -1,15 +1,19 @@
 """Weak-value, amplified-phase, and phase-inversion tests."""
 
+import ast
 import cmath
+import inspect
 import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psamzi
 from psamzi import (
     DarkPointSingularity,
     MODE_AAV,
@@ -358,6 +362,25 @@ def test_import_pulls_no_scipy():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def _type_checking_namespace(module):
+    """``module``'s globals plus the imports it makes only under TYPE_CHECKING."""
+    namespace = dict(vars(module))
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(node.body, []), module.__file__, "exec"), namespace)
+    return namespace
+
+
+def test_public_annotations_resolve():
+    # Every annotation names something the module defines or imports, for a
+    # type checker; numpy stays out of the runtime import.
+    for name in psamzi.__all__:
+        obj = getattr(psamzi, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            module = sys.modules[obj.__module__]
+            typing.get_type_hints(obj, globalns=_type_checking_namespace(module))
 
 
 def _imported_packages(args, cwd):

@@ -11,13 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psamzi import ConfigError, averaged_stats, quadrature_stats_exact, uncertainty_vs_m
+from psamzi import (
+    ConfigError,
+    averaged_stats,
+    chi_tilde_exact,
+    propagate_mzi,
+    quadrature_mean,
+    quadrature_stats_exact,
+    uncertainty_vs_m,
+)
 from psamzi.cli import main
 from psamzi.config import _SECTIONS, _TOP_KEYS, ScanSpec, linspace, load_config
+from psamzi.homodyne import phase_slope
 from psamzi.runner import (
+    DEFAULT_M_GRID,
     DEFAULT_THETA2_GRID_POINTS,
     DEFAULT_THETA2_GRID_START,
     DEFAULT_THETA2_GRID_STOP,
+    FIG3_DEFAULT_CHI,
+    FIG3_DEFAULT_THETA2,
     default_theta2_grid,
     render_csv,
     run_fig2,
@@ -281,6 +293,39 @@ class TestFig3:
         lower = table.columns.index("chi_tilde_lower")
         upper = table.columns.index("chi_tilde_upper")
         assert (last[upper] - last[lower]) < (first[upper] - first[lower])
+
+    def test_mc_tracks_analytic_over_default_grid(self):
+        # 0.2 is 4 sigma of a sample std over runs = 200 batch means.
+        table = run_fig3(load_config(None, seed=31415))
+        assert [row[0] for row in table.rows] == DEFAULT_M_GRID
+        sens = table.columns.index("sensitivity")
+        mc = table.columns.index("sensitivity_mc")
+        for row in table.rows:
+            assert abs(row[mc] - row[sens]) / row[sens] < 0.2
+
+    @pytest.mark.parametrize("mzi, seed, runs", [
+        ({}, 7, 200),
+        ({"theta2": math.pi / 4 + 0.01, "chi": -0.02, "gamma": 0.05}, 3, 2),
+    ])
+    def test_mc_seeding_contract(self, tmp_path, mzi, seed, runs):
+        # Row i's batches are the rows of one (runs, m) block of standard
+        # normals from default_rng([seed, i]).
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mzi": mzi, "shots": {"seed": seed, "runs": runs},
+                                    "scan": {"variable": "m", "grid": [1, 3, 50, 2000]}}))
+        config = load_config(path)
+        table = run_fig3(config)
+        params = config.mzi_params(
+            theta2=mzi.get("theta2", FIG3_DEFAULT_THETA2), chi=mzi.get("chi", FIG3_DEFAULT_CHI)
+        )
+        amp = chi_tilde_exact(params)
+        mean = quadrature_mean(propagate_mzi(params).alpha_f, config.lo_config().effective_phase)
+        mc = table.columns.index("sensitivity_mc")
+        for i, row in enumerate(table.rows):
+            block = np.random.default_rng([seed, i]).standard_normal((runs, row[0]))
+            std_mc = (mean + 0.5 * block).mean(axis=1).std(ddof=1)
+            expected = amp.chi_tilde * phase_slope(amp) / std_mc
+            assert math.isclose(row[mc], expected, rel_tol=1e-12)
 
     def test_columns_match_library_past_dark_point(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -14,6 +14,7 @@ from psamzi import (
     chi_tilde_exact,
     estimate_chi_from_run,
     propagate_mzi,
+    quadrature_mean,
     quadrature_stats_exact,
     sample_shots,
     uncertainty_vs_m,
@@ -64,6 +65,15 @@ class TestSampling:
         run = sample_shots(fields.alpha_f, math.pi / 2, 10_000, seed=2024)
         expected = quadrature_stats_exact(params).mean
         assert abs(run.sample_mean - expected) <= 5 * 0.5 / math.sqrt(10_000)
+
+    def test_samples_are_mean_plus_half_standard_normal(self):
+        # The shot-noise model, bit for bit: the quadrature mean plus 1/2 times
+        # the first m standard normals of default_rng(seed).
+        alpha_f = 0.4 - 0.7j
+        for xi, m, seed in ((math.pi / 2, 1, 0), (0.3, 257, 11), (-2.0, 10_000, 2**40)):
+            normals = np.random.default_rng(seed).standard_normal(m)
+            expected = quadrature_mean(alpha_f, xi) + 0.5 * normals
+            assert np.array_equal(sample_shots(alpha_f, xi, m, seed).samples, expected)
 
     def test_metadata(self):
         run = sample_shots(1.0 + 0j, 0.0, 10, seed=1, pulse_duration=2.5)

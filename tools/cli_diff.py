@@ -53,6 +53,7 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "list_root": [1, 2],
         "empty": {},
         "chi_1e-5": {"chi_values": [1e-5]},
+        "runs_2": {"shots": {"seed": 3, "runs": 2}},
     }
     for name, mzi in POINTS.items():
         objects[name] = {"mzi": mzi}
@@ -94,6 +95,9 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("fig2 grid within 1e-7 of pi/4, chi 1e-5",
          ["fig2", "--config", f["chi_1e-5"], "--scan", "theta2", "0.78539806",
           "0.78539826", "5"]),
+        ("fig3 shots.runs 2", ["fig3", "--config", f["runs_2"]]),
+        ("fig3 descending m grid", ["fig3", "--seed", "7", "--scan", "m", "10000", "1", "3"]),
+        ("fig3 past dark point, gamma 0.05", ["fig3", "--config", f["past"], "--seed", "7"]),
         ("fig2 --out directory", ["fig2", "--out", f["directory"]]),
         ("fig2 --out missing directory", ["fig2", "--out", f["directory"] + "/missing/x.csv"]),
         ("single --out directory", below + ["--out", f["directory"]]),
