@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DarkPointSingularity, NoRoot, ZeroAmplitude
-from .optics import MziParams, port_amplitudes, require_balanced_bs1, wrap_angle
+from .optics import MziParams, port_amplitudes, wrap_angle
 
 DARK_OVERLAP_TOL = 1e-15
 ZERO_AMPLITUDE_TOL = 1e-15
@@ -96,10 +96,8 @@ def chi_tilde_exact(params: MziParams) -> AmplifiedPhase:
     Phase and magnitude both come from the unit port amplitude: chi_tilde =
     arg(alpha_f) - arg(alpha) wrapped to (-pi, pi] and |alpha_f| = |alpha| /
     sqrt(2) * |unit|.  Raises ZeroAmplitude at an exact dark point, where the
-    phase is undefined, and ValueError for an unbalanced first splitter, which
-    the closed form does not describe.
+    phase is undefined.
     """
-    require_balanced_bs1(params)
     unit = port_amplitudes(params)[0]
     mag = abs(params.alpha) / math.sqrt(2.0) * abs(unit)
     # At the float dark point rounding leaves |unit| near 1e-16, which a large

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .homodyne import LoConfig
-from .optics import MziParams, balanced_bs1, coherent_amplitude
+from .optics import MziParams, coherent_amplitude
 from .saturation import DetectorParams
 
 # theta2 for fig2 and fig4, the shot count m for fig3.
@@ -47,13 +47,10 @@ class OutputSpec:
 class RunConfig:
     """Resolved configuration for one CLI run.
 
-    ``theta1`` is always pi/4: every closed form assumes a balanced first
-    splitter, so ``load_config`` rejects any other value.  ``theta2`` and
-    ``chi`` stay None when the config omits them; each runner
+    ``theta2`` and ``chi`` stay None when the config omits them; each runner
     either scans them, fills its own documented default, or rejects the run.
     """
 
-    theta1: float = math.pi / 4
     theta2: float | None = None
     gamma: float = 0.0
     chi: float | None = None
@@ -81,8 +78,8 @@ class RunConfig:
         if use_chi is None:
             raise ConfigError("mzi.chi is required for this run")
         n = self.n_photons if n_photons is None else n_photons
-        return _build(MziParams, theta2=use_theta2, chi=use_chi, theta1=self.theta1,
-                      gamma=self.gamma, alpha=coherent_amplitude(n, self.input_phase))
+        return _build(MziParams, theta2=use_theta2, chi=use_chi, gamma=self.gamma,
+                      alpha=coherent_amplitude(n, self.input_phase))
 
     def lo_config(self) -> LoConfig:
         """The configured LO, or the default one phased for peak sensitivity."""
@@ -161,7 +158,7 @@ def _bounded(parse, low: int, high: int | None = None):
 # The only list of each section's keys, with the parser that checks its value.
 # The keys equal the fields of the dataclass the section builds.
 _SECTIONS = {
-    "mzi": {"theta1": _number, "theta2": _number, "gamma": _number, "chi": _number,
+    "mzi": {"theta2": _number, "gamma": _number, "chi": _number,
             "n_photons": _bounded(_number, 0), "input_phase": _number},
     "lo": {"beta_mag": _number, "xi": _number, "delta": _number},
     "detector": {"k_max": _number, "n_sat": _number},
@@ -257,9 +254,6 @@ def load_config(
     mzi, lo, det, shots, scan_values, output = (_section(raw, n) for n in _SECTIONS)
 
     config = RunConfig(**mzi, output=OutputSpec(**output))
-    if not balanced_bs1(config.theta1):
-        raise ConfigError("mzi.theta1 must be pi/4: every closed form "
-                          "assumes a balanced first splitter")
     if "lo" in raw:
         if "beta_mag" not in lo:
             raise ConfigError("lo.beta_mag is required when lo is present")

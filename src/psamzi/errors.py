@@ -14,7 +14,7 @@ class ZeroAmplitude(ArithmeticError):
 
 
 class NoRoot(ArithmeticError):
-    """No phase inside the search bracket reproduces the measured value."""
+    """No bare phase in (-pi/2, pi/2) reproduces the measured value."""
 
 
 class DomainError(ValueError):

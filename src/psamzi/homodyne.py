@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .amplification import AmplifiedPhase, chi_tilde_aav, chi_tilde_exact, invert_chi
 from .errors import DomainError, ZeroSignal
-from .optics import MziParams, require_balanced_bs1
+from .optics import MziParams
 
 # Quadrature standard deviation of any coherent state in this convention.
 QUADRATURE_STD = 0.5
@@ -76,10 +76,8 @@ def quadrature_stats_aav(params: MziParams) -> QuadratureStats:
     """Quadrature statistics in the small-coupling limit (gamma = 0 scheme only).
 
     mean = sqrt(N/2) * (cos(theta2) - sin(theta2)) * sin(chi_tilde), so it
-    changes sign past the dark point.  Raises ValueError for an unbalanced
-    first splitter.
+    changes sign past the dark point.
     """
-    require_balanced_bs1(params)
     if params.gamma != 0.0:
         raise ValueError("small-coupling statistics are defined for the "
                          "splitter-modulation scheme (gamma = 0)")

@@ -9,29 +9,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Below this distance from pi/4 the first splitter is treated as balanced and
-# the closed-form port amplitudes are used instead of step-by-step composition.
-BALANCED_BS1_TOL = 1e-12
-
-
-def balanced_bs1(theta1: float) -> bool:
-    """Whether the first splitter is 50:50, as every closed form assumes."""
-    return abs(theta1 - math.pi / 4) < BALANCED_BS1_TOL
-
-
-def require_balanced_bs1(params: MziParams) -> None:
-    """Raise ValueError unless theta1 = pi/4, which every closed form assumes."""
-    if not balanced_bs1(params.theta1):
-        raise ValueError(
-            f"the closed forms assume theta1 = pi/4, got theta1={params.theta1}"
-        )
-
 
 def wrap_angle(phi: float) -> float:
     """Wrap an angle to the interval (-pi, pi]."""
@@ -52,22 +34,20 @@ def coherent_amplitude(n_photons: float, phase: float = 0.0) -> complex:
 class MziParams:
     """All knobs of a single pass through the interferometer.
 
-    Angles are radians: ``theta1``/``theta2`` are the splitter mixing angles,
-    ``chi`` is the signal phase picked up in arm 1 and ``gamma`` the modulation
-    phase in arm 2.  ``alpha`` is the input coherent amplitude; its squared
-    magnitude is the mean photon number.
+    The first splitter is 50:50.  Angles are radians: ``theta2`` is the second
+    splitter's mixing angle, ``chi`` the signal phase picked up in arm 1 and
+    ``gamma`` the modulation phase in arm 2.  ``alpha`` is the input coherent
+    amplitude; its squared magnitude is the mean photon number.
     """
 
     theta2: float
     chi: float
     alpha: complex
-    theta1: float = math.pi / 4
-    gamma: float = 0.0
+    gamma: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self) -> None:
-        for name, value in (("theta1", self.theta1), ("theta2", self.theta2)):
-            if not 0.0 <= value <= math.pi / 2:
-                raise ValueError(f"{name} must lie in [0, pi/2], got {value}")
+        if not 0.0 <= self.theta2 <= math.pi / 2:
+            raise ValueError(f"theta2 must lie in [0, pi/2], got {self.theta2}")
         if not all(map(cmath.isfinite, (self.chi, self.gamma, self.alpha))):
             raise ValueError(f"chi, gamma and alpha must be finite, got chi={self.chi}, "
                              f"gamma={self.gamma}, alpha={self.alpha}")
@@ -139,19 +119,12 @@ def port_amplitudes(params: MziParams) -> tuple[complex, complex]:
 def propagate_mzi(params: MziParams) -> PortFields:
     """Propagate the input state through both splitters and the arm phases.
 
-    The balanced-BS1 case uses the closed-form port amplitudes; any other
-    first-splitter angle falls back to composing the individual elements,
-    which is also the independent cross-check path used by the tests.
+    The port fields are the closed-form ``port_amplitudes`` scaled by the
+    input amplitude.
     """
-    if balanced_bs1(params.theta1):
-        scale = params.alpha / math.sqrt(2.0)
-        unit_f, unit_fbar = port_amplitudes(params)
-        return PortFields(alpha_f=scale * unit_f, alpha_fbar=-1j * scale * unit_fbar)
-    a, b = bs_transform(params.alpha, 0.0, params.theta1)
-    a = phase_shift(a, params.chi)
-    b = phase_shift(b, params.gamma)
-    alpha_f, alpha_fbar = bs_transform(a, b, params.theta2)
-    return PortFields(alpha_f=alpha_f, alpha_fbar=alpha_fbar)
+    scale = params.alpha / math.sqrt(2.0)
+    unit_f, unit_fbar = port_amplitudes(params)
+    return PortFields(alpha_f=scale * unit_f, alpha_fbar=-1j * scale * unit_fbar)
 
 
 def intensity_difference(params: MziParams) -> float:

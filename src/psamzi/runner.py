@@ -70,7 +70,8 @@ def default_theta2_grid() -> list[float]:
 
 def _config_sha256(config: RunConfig, figure: str, **resolved: object) -> str:
     """Hash of the fully resolved parameters of one run, shared keys included."""
-    shared = {"figure": figure, "theta1": config.theta1, "gamma": config.gamma,
+    # The 50:50 first splitter stays in the hash so every hash keeps its bytes.
+    shared = {"figure": figure, "theta1": math.pi / 4, "gamma": config.gamma,
               "input_phase": config.input_phase, "precision": config.output.precision}
     return config_hash({**shared, **resolved})
 

@@ -30,14 +30,12 @@ class ShotRun:
     """One batch of repeated quadrature measurements.
 
     Identical (seed, m, alpha_f, xi) inputs reproduce identical samples
-    bit-for-bit.  ``pulse_duration`` is inert metadata; the total integration
-    time is m * pulse_duration.
+    bit-for-bit.
     """
 
     m: int
     seed: int
     samples: np.ndarray
-    pulse_duration: float = 1.0
 
     @property
     def sample_mean(self) -> float:
@@ -46,10 +44,6 @@ class ShotRun:
     @property
     def sample_std(self) -> float:
         return float(self.samples.std(ddof=1)) if self.m > 1 else 0.0
-
-    @property
-    def total_time(self) -> float:
-        return self.m * self.pulse_duration
 
 
 @dataclass
@@ -65,17 +59,11 @@ class ChiEstimate:
     clamped: bool = False
 
 
-def sample_shots(
-    alpha_f: complex,
-    xi: float,
-    m: int,
-    seed: int,
-    pulse_duration: float = 1.0,
-) -> ShotRun:
+def sample_shots(alpha_f: complex, xi: float, m: int, seed: int) -> ShotRun:
     """Draw ``m`` independent quadrature outcomes for the given port amplitude.
 
     The whole batch is drawn in one vectorized pass from a generator seeded by
-    ``seed``, so the result does not depend on scheduling or thread count.
+    ``seed``, so the same arguments give the same samples.
     """
     if not _is_int(m) or m < 1:
         raise ValueError(f"shot count must be an integer >= 1, got {m!r}")
@@ -84,7 +72,7 @@ def sample_shots(
     import numpy as np
 
     samples = draw_shots(np.random.default_rng(seed), quadrature_mean(alpha_f, xi), m)
-    return ShotRun(m=m, seed=seed, samples=samples, pulse_duration=pulse_duration)
+    return ShotRun(m=m, seed=seed, samples=samples)
 
 
 def draw_shots(rng: np.random.Generator, mean: float, m: int) -> np.ndarray:

@@ -70,7 +70,6 @@ def test_criterion_02_energy_conservation():
             theta2=rng.uniform(0, math.pi / 2),
             chi=rng.uniform(-math.pi, math.pi),
             alpha=cmath.rect(rng.uniform(1e-3, 100.0), rng.uniform(-math.pi, math.pi)),
-            theta1=rng.uniform(0, math.pi / 2),
             gamma=rng.uniform(-math.pi, math.pi),
         )
         fields = propagate_mzi(params)

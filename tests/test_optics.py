@@ -20,14 +20,14 @@ from psamzi import (
 SQ2 = math.sqrt(2.0)
 
 
-def matrix_oracle(theta1, theta2, gamma, chi, alpha):
+def matrix_oracle(theta2, gamma, chi, alpha):
     """Independent propagation: sequential 2x2 matrix products on the pair."""
 
     def splitter(theta):
         c, s = math.cos(theta), math.sin(theta)
         return np.array([[c, -1j * s], [-1j * s, c]])
 
-    v = splitter(theta1) @ np.array([alpha, 0.0], dtype=complex)
+    v = splitter(math.pi / 4) @ np.array([alpha, 0.0], dtype=complex)
     v = np.array([v[0] * cmath.exp(1j * chi), v[1] * cmath.exp(1j * gamma)])
     v = splitter(theta2) @ v
     return complex(v[0]), complex(v[1])
@@ -110,22 +110,21 @@ class TestPropagation:
     def test_matches_matrix_oracle_at_reference_point(self):
         params = MziParams(theta2=0.7, chi=1e-2, alpha=10.0 + 0j, gamma=0.1)
         fields = propagate_mzi(params)
-        oracle_f, oracle_fbar = matrix_oracle(math.pi / 4, 0.7, 0.1, 1e-2, 10.0)
+        oracle_f, oracle_fbar = matrix_oracle(0.7, 0.1, 1e-2, 10.0)
         assert abs(fields.alpha_f - oracle_f) < 1e-12
         assert abs(fields.alpha_fbar - oracle_fbar) < 1e-12
 
     def test_closed_form_equals_composition(self):
         rng = np.random.default_rng(14)
         for _ in range(1000):
-            theta1 = rng.uniform(0, math.pi / 2)
             theta2 = rng.uniform(0, math.pi / 2)
             gamma = rng.uniform(-math.pi, math.pi)
             chi = rng.uniform(-math.pi, math.pi)
             alpha = complex(rng.normal(), rng.normal()) * rng.uniform(0.1, 20)
             fields = propagate_mzi(
-                MziParams(theta2=theta2, chi=chi, alpha=alpha, theta1=theta1, gamma=gamma)
+                MziParams(theta2=theta2, chi=chi, alpha=alpha, gamma=gamma)
             )
-            oracle_f, oracle_fbar = matrix_oracle(theta1, theta2, gamma, chi, alpha)
+            oracle_f, oracle_fbar = matrix_oracle(theta2, gamma, chi, alpha)
             assert abs(fields.alpha_f - oracle_f) < 1e-12
             assert abs(fields.alpha_fbar - oracle_fbar) < 1e-12
 
@@ -136,7 +135,6 @@ class TestPropagation:
                 theta2=rng.uniform(0, math.pi / 2),
                 chi=rng.uniform(-math.pi, math.pi),
                 alpha=complex(rng.normal(), rng.normal()) * rng.uniform(0.01, 50),
-                theta1=rng.uniform(0, math.pi / 2),
                 gamma=rng.uniform(-math.pi, math.pi),
             )
             fields = propagate_mzi(params)
@@ -203,8 +201,8 @@ class TestHelpers:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             MziParams(theta2=2.0, chi=0.0, alpha=1.0 + 0j)
-        with pytest.raises(ValueError):
-            MziParams(theta2=0.3, chi=0.0, alpha=1.0 + 0j, theta1=-0.1)
+        with pytest.raises(TypeError):
+            MziParams(0.3, 0.0, 1.0 + 0j, 0.1)  # gamma is keyword-only
         for bad in ({"chi": math.nan}, {"gamma": math.inf},
                     {"alpha": complex(math.inf, 0.0)}, {"alpha": complex(1.0, math.nan)}):
             with pytest.raises(ValueError):

@@ -97,9 +97,10 @@ class TestConfig:
 
     def test_unbalanced_first_splitter_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"mzi": {"theta1": 0.3}}))
-        with pytest.raises(ConfigError):
-            load_config(path)
+        for theta1 in (0.3, math.pi / 4):
+            path.write_text(json.dumps({"mzi": {"theta1": theta1}}))
+            with pytest.raises(ConfigError, match="unknown mzi keys"):
+                load_config(path)
 
     def test_non_integer_counts_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -170,7 +171,6 @@ class TestConfig:
 
     def test_defaults(self):
         config = load_config(None)
-        assert math.isclose(config.theta1, math.pi / 4)
         assert config.gamma == 0.0
         assert config.input_phase == 0.0
         assert config.output.precision == 12

@@ -1,6 +1,10 @@
 """Seeded shot sampling, averaging law, and estimator tests."""
 
+import contextlib
+import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,8 +80,7 @@ class TestSampling:
             assert np.array_equal(sample_shots(alpha_f, xi, m, seed).samples, expected)
 
     def test_metadata(self):
-        run = sample_shots(1.0 + 0j, 0.0, 10, seed=1, pulse_duration=2.5)
-        assert run.total_time == 25.0
+        run = sample_shots(1.0 + 0j, 0.0, 10, seed=1)
         assert run.m == 10 and run.seed == 1
 
     def test_rejects_bad_count(self):
@@ -138,6 +141,18 @@ class TestEstimator:
         run = sample_shots(0.0 + 0j, 0.0, 10, seed=3)
         with pytest.raises(ZeroAmplitude):
             estimate_chi_from_run(run, 0.0, NEAR_DARK)
+
+    def test_readme_library_example(self):
+        # The README's "Library use" block runs as written and prints the
+        # value its comment states.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+        commented = re.search(r"print\(estimate\.chi_hat\)\s+# (\S+),", block).group(1)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            exec(block, {})
+        assert printed.getvalue() == commented + "\n"
+        assert commented == "0.006848761286902261"
 
     def test_spread_matches_error_propagation(self):
         # Statistical check in the regime where the propagation formula is

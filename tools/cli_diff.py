@@ -54,6 +54,8 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "empty": {},
         "chi_1e-5": {"chi_values": [1e-5]},
         "runs_2": {"shots": {"seed": 3, "runs": 2}},
+        "theta1_pi_4": {"mzi": {"theta1": math.pi / 4}},
+        "theta1_0.3": {"mzi": {"theta1": 0.3}},
     }
     for name, mzi in POINTS.items():
         objects[name] = {"mzi": mzi}
@@ -119,6 +121,8 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("single --self-check list", below + ["--self-check", f["list_root"]]),
         ("single --self-check missing", below + ["--self-check", f["missing"]]),
         ("fig4 multi-fault detector", ["fig4", "--config", f["bad_detector"]]),
+        ("fig2 mzi.theta1 pi/4", ["fig2", "--config", f["theta1_pi_4"]]),
+        ("single mzi.theta1 0.3", ["single", "--config", f["theta1_0.3"]]),
     ]
     return out
 
