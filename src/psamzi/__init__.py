@@ -20,7 +20,6 @@ from .errors import (
     ConfigError,
     DarkPointSingularity,
     DomainError,
-    NegativeCount,
     NoRoot,
     ZeroAmplitude,
     ZeroSignal,
@@ -78,7 +77,6 @@ __all__ = [
     "MODE_AAV",
     "MODE_EXACT",
     "MziParams",
-    "NegativeCount",
     "NoRoot",
     "PortFields",
     "QUADRATURE_STD",

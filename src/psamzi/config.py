@@ -49,16 +49,17 @@ class RunConfig:
 
     ``theta2`` and ``chi`` stay None when the config omits them; each runner
     either scans them, fills its own documented default, or rejects the run.
+    ``lo`` is the configured LO, or the default one phased for peak sensitivity.
     """
 
+    lo: LoConfig
     theta2: float | None = None
     gamma: float = 0.0
     chi: float | None = None
     n_photons: float = DEFAULT_N_PHOTONS
     input_phase: float = 0.0
-    lo: LoConfig | None = None
     detector: DetectorParams | None = None
-    shots: ShotSpec | None = None
+    shots: ShotSpec = field(default_factory=ShotSpec)
     scan: ScanSpec | None = None
     output: OutputSpec = field(default_factory=OutputSpec)
     chi_values: list[float] | None = None
@@ -80,12 +81,6 @@ class RunConfig:
         n = self.n_photons if n_photons is None else n_photons
         return _build(MziParams, theta2=use_theta2, chi=use_chi, gamma=self.gamma,
                       alpha=coherent_amplitude(n, self.input_phase))
-
-    def lo_config(self) -> LoConfig:
-        """The configured LO, or the default one phased for peak sensitivity."""
-        if self.lo is not None:
-            return self.lo
-        return LoConfig(beta_mag=DEFAULT_BETA_MAG, xi=math.pi / 2 + self.input_phase)
 
 
 def _build(cls, **values):
@@ -253,17 +248,16 @@ def load_config(
     _require_keys(raw, _TOP_KEYS, "top-level")
     mzi, lo, det, shots, scan_values, output = (_section(raw, n) for n in _SECTIONS)
 
-    config = RunConfig(**mzi, output=OutputSpec(**output))
-    if "lo" in raw:
-        if "beta_mag" not in lo:
-            raise ConfigError("lo.beta_mag is required when lo is present")
-        config.lo = _build(LoConfig, **{"xi": math.pi / 2 + config.input_phase, **lo})
+    if "lo" in raw and "beta_mag" not in lo:
+        raise ConfigError("lo.beta_mag is required when lo is present")
+    lo = _build(LoConfig, **{"beta_mag": DEFAULT_BETA_MAG,
+                             "xi": math.pi / 2 + mzi.get("input_phase", 0.0), **lo})
+    config = RunConfig(**mzi, lo=lo, shots=ShotSpec(**shots),
+                       output=OutputSpec(**output))
     if "detector" in raw:
         if det.keys() != _SECTIONS["detector"].keys():
             raise ConfigError("detector requires both 'k_max' and 'n_sat'")
         config.detector = _build(DetectorParams, **det)
-    if "shots" in raw:
-        config.shots = ShotSpec(**shots)
     if "scan" in raw:
         config.scan = _scan(scan_values)
     if "chi_values" in raw:
@@ -278,7 +272,6 @@ def load_config(
         override = {"variable": scan.variable, "grid": list(scan.grid)}
         config.scan = _scan(_section({"scan": override}, "scan"))
     if seed is not None:
-        config.shots = config.shots or ShotSpec()
         config.shots.seed = _SECTIONS["shots"]["seed"](seed, "seed")
     if out is not None:
         config.output.path = _SECTIONS["output"]["path"](out, "out")

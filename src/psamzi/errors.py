@@ -21,9 +21,5 @@ class DomainError(ValueError):
     """An inverse-trig argument left its valid domain."""
 
 
-class NegativeCount(ValueError):
-    """A photon count came out negative beyond rounding tolerance."""
-
-
 class ZeroSignal(ArithmeticError):
     """Amplified phase is zero, so a relative error ratio is undefined."""

@@ -170,7 +170,7 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
                 f"fig3 m grid must stay strictly monotone after rounding to "
                 f"integers, got {m_grid}"
             )
-    if config.shots is None or config.shots.seed is None:
+    if config.shots.seed is None:
         raise ConfigError("fig3 needs a seed (shots.seed or --seed) for the "
                           "Monte-Carlo column")
     seed = config.shots.seed
@@ -178,7 +178,7 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
 
     theta2 = config.theta2 if config.theta2 is not None else FIG3_DEFAULT_THETA2
     chi = config.chi if config.chi is not None else FIG3_DEFAULT_CHI
-    lo = config.lo_config()
+    lo = config.lo
     params = config.mzi_params(theta2=theta2, chi=chi)
     stats = quadrature_stats_exact(params)
     amp = chi_tilde_exact(params)
@@ -237,7 +237,7 @@ def run_fig4(config: RunConfig, workers: int = 1) -> Table:
         raise ConfigError("fig4 needs a detector block (k_max, n_sat)")
     n_values = config.n_values or list(DEFAULT_N_VALUES)
     chi = config.chi if config.chi is not None else FIG4_DEFAULT_CHI
-    lo = config.lo_config()
+    lo = config.lo
     det = config.detector
 
     def point(n_photons: float, theta2: float) -> list[object]:
@@ -268,7 +268,7 @@ def run_single(config: RunConfig) -> dict:
     if config.scan is not None:
         raise ConfigError("single takes no scan block")
     params = config.mzi_params()
-    lo = config.lo_config()
+    lo = config.lo
     fields = propagate_mzi(params)
     sha = _config_sha256(
         config,

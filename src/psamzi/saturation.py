@@ -1,22 +1,22 @@
 """Photodetector saturation and its bias on linear phase inversion.
 
-The photocurrent responds as k_max * (1 - exp(-N/N_sat)), so an experimenter
-who calibrates the small-signal slope k_max / N_sat and inverts the readout
-with the linear model recovers a biased amplified phase once the photon
-numbers approach N_sat.  ``error_ratio`` quantifies that bias.
+The two homodyne detectors receive |alpha_f +/- beta e^{i xi}|^2 / 2 photons
+and each photocurrent responds as k_max * (1 - exp(-N/N_sat)), so an
+experimenter who calibrates the small-signal slope k_max / N_sat and inverts
+the readout with the linear model recovers a biased amplified phase once the
+photon numbers approach N_sat.  ``error_ratio`` quantifies that bias.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 from .amplification import ZERO_AMPLITUDE_TOL, chi_tilde_exact
-from .errors import NegativeCount, ZeroAmplitude, ZeroSignal
+from .errors import ZeroAmplitude, ZeroSignal
 from .homodyne import LoConfig, quadrature_mean
 from .optics import MziParams, propagate_mzi
-
-_COUNT_CLAMP_TOL = 1e-15
 
 
 @dataclass
@@ -59,22 +59,14 @@ def detector_counts(
 ) -> tuple[float, float]:
     """Mean photon numbers at the two homodyne detectors.
 
-    Defined through the two exact identities n1 + n2 = |beta|^2 + |alpha_f|^2
-    and (n1 - n2) / (2|beta|) = quadrature mean.  Tiny negative values from
-    rounding are clamped to zero; anything beyond 1e-15 raises NegativeCount.
+    n1 = |alpha_f + beta e^{i xi}|^2 / 2 and n2 = |alpha_f - beta e^{i xi}|^2 / 2,
+    so they cannot be negative.  They obey n1 + n2 = |beta|^2 + |alpha_f|^2 and
+    (n1 - n2) / (2|beta|) = quadrature mean.
     """
     if beta_mag <= 0:
         raise ValueError(f"LO amplitude must be positive, got {beta_mag}")
-    x_bar = quadrature_mean(alpha_f, xi)
-    half_total = 0.5 * (beta_mag**2 + abs(alpha_f) ** 2)
-    counts = []
-    for n in (half_total + beta_mag * x_bar, half_total - beta_mag * x_bar):
-        if n < 0.0:
-            if n < -_COUNT_CLAMP_TOL:
-                raise NegativeCount(f"detector count {n} is negative")
-            n = 0.0
-        counts.append(n)
-    return counts[0], counts[1]
+    lo = cmath.rect(beta_mag, xi)
+    return abs(alpha_f + lo) ** 2 / 2, abs(alpha_f - lo) ** 2 / 2
 
 
 def saturated_quadrature(
@@ -82,12 +74,16 @@ def saturated_quadrature(
 ) -> float:
     """Rescaled current difference of the two saturating detectors.
 
-    (k_max / (2|beta|)) * (exp(-n2/N_sat) - exp(-n1/N_sat)); reduces to
-    (k_max / N_sat) * quadrature mean when both counts are far below N_sat.
+    (k_max / (2|beta|)) * (exp(-n2/N_sat) - exp(-n1/N_sat)), evaluated through
+    n1 - n2 = 2|beta| x_bar, with x_bar the quadrature mean, as
+    (k_max / (2|beta|)) * exp(-n2/N_sat) * -expm1(-2|beta| x_bar / N_sat) so
+    that it does not cancel; reduces to (k_max / N_sat) * x_bar when both
+    counts are far below N_sat.
     """
-    n1, n2 = detector_counts(beta_mag, xi, alpha_f)
-    return (det.k_max / (2.0 * beta_mag)) * (
-        math.exp(-n2 / det.n_sat) - math.exp(-n1 / det.n_sat)
+    _, n2 = detector_counts(beta_mag, xi, alpha_f)
+    x_bar = quadrature_mean(alpha_f, xi)
+    return (det.k_max / (2.0 * beta_mag)) * math.exp(-n2 / det.n_sat) * -math.expm1(
+        -2.0 * beta_mag * x_bar / det.n_sat
     )
 
 

@@ -255,7 +255,7 @@ class TestRescaledIntensity:
             rescaled_intensity(-0.1, 5.0, 10.0)
 
 
-def test_lo_config():
+def test_lo_effective_phase_and_validation():
     lo = LoConfig(beta_mag=2.0, xi=0.3, delta=0.05)
     assert math.isclose(lo.effective_phase, 0.35, rel_tol=1e-14)
     with pytest.raises(ValueError):

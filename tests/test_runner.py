@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from psamzi import (
     ConfigError,
+    LoConfig,
     averaged_stats,
     chi_tilde_exact,
     propagate_mzi,
@@ -21,7 +22,15 @@ from psamzi import (
     uncertainty_vs_m,
 )
 from psamzi.cli import main
-from psamzi.config import _SECTIONS, _TOP_KEYS, ScanSpec, linspace, load_config
+from psamzi.config import (
+    _SECTIONS,
+    _TOP_KEYS,
+    DEFAULT_BETA_MAG,
+    ScanSpec,
+    ShotSpec,
+    linspace,
+    load_config,
+)
 from psamzi.homodyne import phase_slope
 from psamzi.runner import (
     DEFAULT_M_GRID,
@@ -175,6 +184,8 @@ class TestConfig:
         assert config.input_phase == 0.0
         assert config.output.precision == 12
         assert config.n_photons == 100.0
+        assert config.lo == LoConfig(beta_mag=DEFAULT_BETA_MAG, xi=math.pi / 2)
+        assert config.shots == ShotSpec()
 
     def test_cli_overrides(self, tmp_path):
         path = tmp_path / "base.json"
@@ -319,7 +330,7 @@ class TestFig3:
             theta2=mzi.get("theta2", FIG3_DEFAULT_THETA2), chi=mzi.get("chi", FIG3_DEFAULT_CHI)
         )
         amp = chi_tilde_exact(params)
-        mean = quadrature_mean(propagate_mzi(params).alpha_f, config.lo_config().effective_phase)
+        mean = quadrature_mean(propagate_mzi(params).alpha_f, config.lo.effective_phase)
         mc = table.columns.index("sensitivity_mc")
         for i, row in enumerate(table.rows):
             block = np.random.default_rng([seed, i]).standard_normal((runs, row[0]))
@@ -525,6 +536,29 @@ class TestCli:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_balanced_lo_exits_0(self, tmp_path, capsys):
+        # |beta| = |alpha_f| with the LO in antiphase drives one detector
+        # count to zero; rounding must not make it negative.
+        mzi = {"theta2": 0.2958013512305811, "chi": 0.13486065828518845,
+               "n_photons": 1737.4101612151605}
+        balanced = {"mzi": mzi, "lo": {"beta_mag": 19.71380496708275,
+                                       "xi": 3.3350847892594393},
+                    "detector": {"k_max": 450.0, "n_sat": 500.0}}
+        single_cfg = tmp_path / "single.json"
+        single_cfg.write_text(json.dumps(balanced))
+        fig4_cfg = tmp_path / "fig4.json"
+        fig4_cfg.write_text(json.dumps({
+            **balanced, "n_values": [mzi["n_photons"]],
+            "scan": {"variable": "theta2", "grid": [mzi["theta2"]]},
+        }))
+        assert main(["single", "--config", str(single_cfg)]) == 0
+        saturation = json.loads(capsys.readouterr().out)["saturation"]
+        assert min(saturation["n1"], saturation["n2"]) >= 0.0
+        out = tmp_path / "fig4.csv"
+        assert main(["fig4", "--config", str(fig4_cfg), "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out)
+        assert min(cell(rows[0], columns, "n1"), cell(rows[0], columns, "n2")) >= 0.0
 
     def test_single_and_fig4_agree_at_dark_point(self, tmp_path, capsys):
         # Exact dark postselection makes the linear inversion degenerate, so

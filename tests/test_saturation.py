@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -113,6 +115,19 @@ class TestDetectorCounts:
         assert n1 >= 0.0 and n2 >= 0.0
         assert min(n1, n2) < 1e-14
 
+    def test_balanced_lo_never_fails(self):
+        # |beta| = |alpha_f| with the LO in phase or in antiphase: one count
+        # is zero up to rounding and must never come out negative.
+        rng = random.Random(44)
+        for _ in range(1000):
+            alpha_f = cmath.rect(math.sqrt(rng.uniform(1.0, 2000.0)),
+                                 rng.uniform(-math.pi, math.pi))
+            beta = abs(alpha_f)
+            xi = cmath.phase(alpha_f) + rng.choice((0.0, math.pi))
+            n1, n2 = detector_counts(beta, xi, alpha_f)
+            assert min(n1, n2) >= 0.0
+            assert min(n1, n2) <= 1e-12 * (beta**2 + abs(alpha_f) ** 2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             detector_counts(0.0, 0.0, 1.0 + 0j)
@@ -144,6 +159,25 @@ class TestSaturatedQuadrature:
         ) * quadrature_mean(fields.alpha_f, math.pi / 2)
         assert abs(x_sat) < abs(x_lin)
         assert math.copysign(1.0, x_sat) == math.copysign(1.0, x_lin)
+
+    def test_matches_decimal_reference(self):
+        # With xi = 0 the quadrature mean is Re(alpha_f) exactly, so the
+        # defining difference of exponentials can be evaluated at 50 digits
+        # from the same float inputs, down to a mean of 1e-9.
+        k_max, n_sat = Decimal(FIG4_DETECTOR.k_max), Decimal(FIG4_DETECTOR.n_sat)
+        rng = random.Random(45)
+        for _ in range(2000):
+            beta = rng.uniform(0.5, 30.0)
+            re = math.copysign(10.0 ** rng.uniform(-9.0, 0.0), rng.uniform(-1.0, 1.0))
+            im = rng.uniform(-30.0, 30.0)
+            x_sat = saturated_quadrature(beta, 0.0, complex(re, im), FIG4_DETECTOR)
+            with localcontext() as ctx:
+                ctx.prec = 50
+                b, a, y = Decimal(beta), Decimal(re), Decimal(im)
+                n1 = ((a + b) ** 2 + y**2) / 2
+                n2 = ((a - b) ** 2 + y**2) / 2
+                want = k_max / (2 * b) * ((-n2 / n_sat).exp() - (-n1 / n_sat).exp())
+                assert abs(Decimal(x_sat) - want) <= Decimal("1e-12") * abs(want)
 
     def test_compression_is_universal(self):
         rng = np.random.default_rng(42)

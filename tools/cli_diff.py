@@ -31,6 +31,13 @@ POINTS = {
     "at": {"theta2": DARK, "chi": 0.01},
     "past": {"theta2": DARK + 0.01, "chi": -0.02, "gamma": 0.05},
 }
+# |beta| = |alpha_f| with the LO in antiphase: one detector count is zero.
+BALANCED = {
+    "mzi": {"theta2": 0.2958013512305811, "chi": 0.13486065828518845,
+            "n_photons": 1737.4101612151605},
+    "lo": {"beta_mag": 19.71380496708275, "xi": 3.3350847892594393},
+    "detector": DETECTOR,
+}
 GRIDS = {
     "default grid": [],
     "2001-point grid": ["--scan", "theta2", "0.6", "0.95", "2001"],
@@ -56,6 +63,8 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "runs_2": {"shots": {"seed": 3, "runs": 2}},
         "theta1_pi_4": {"mzi": {"theta1": math.pi / 4}},
         "theta1_0.3": {"mzi": {"theta1": 0.3}},
+        "balanced": BALANCED,
+        "balanced_fig4": {**BALANCED, "n_values": [BALANCED["mzi"]["n_photons"]]},
     }
     for name, mzi in POINTS.items():
         objects[name] = {"mzi": mzi}
@@ -123,6 +132,10 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("fig4 multi-fault detector", ["fig4", "--config", f["bad_detector"]]),
         ("fig2 mzi.theta1 pi/4", ["fig2", "--config", f["theta1_pi_4"]]),
         ("single mzi.theta1 0.3", ["single", "--config", f["theta1_0.3"]]),
+        ("single balanced LO", ["single", "--config", f["balanced"]]),
+        ("fig4 one row, balanced LO",
+         ["fig4", "--config", f["balanced_fig4"], "--scan", "theta2",
+          repr(BALANCED["mzi"]["theta2"]), repr(BALANCED["mzi"]["theta2"]), "1"]),
     ]
     return out
 
