@@ -18,6 +18,7 @@ SCAN_VARIABLES = ("theta2", "m")
 OUTPUT_FORMATS = ("csv", "json")
 
 DEFAULT_N_PHOTONS = 100.0
+DEFAULT_INPUT_PHASE = 0.0
 DEFAULT_PRECISION = 12
 DEFAULT_RUNS = 200
 # Default LO amplitude; ten photons in the reference beam.
@@ -57,7 +58,7 @@ class RunConfig:
     gamma: float = 0.0
     chi: float | None = None
     n_photons: float = DEFAULT_N_PHOTONS
-    input_phase: float = 0.0
+    input_phase: float = DEFAULT_INPUT_PHASE
     detector: DetectorParams | None = None
     shots: ShotSpec = field(default_factory=ShotSpec)
     scan: ScanSpec | None = None
@@ -250,8 +251,8 @@ def load_config(
 
     if "lo" in raw and "beta_mag" not in lo:
         raise ConfigError("lo.beta_mag is required when lo is present")
-    lo = _build(LoConfig, **{"beta_mag": DEFAULT_BETA_MAG,
-                             "xi": math.pi / 2 + mzi.get("input_phase", 0.0), **lo})
+    xi = math.pi / 2 + mzi.get("input_phase", DEFAULT_INPUT_PHASE)
+    lo = _build(LoConfig, **{"beta_mag": DEFAULT_BETA_MAG, "xi": xi, **lo})
     config = RunConfig(**mzi, lo=lo, shots=ShotSpec(**shots),
                        output=OutputSpec(**output))
     if "detector" in raw:

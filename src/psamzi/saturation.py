@@ -75,15 +75,18 @@ def saturated_quadrature(
     """Rescaled current difference of the two saturating detectors.
 
     (k_max / (2|beta|)) * (exp(-n2/N_sat) - exp(-n1/N_sat)), evaluated through
-    n1 - n2 = 2|beta| x_bar, with x_bar the quadrature mean, as
-    (k_max / (2|beta|)) * exp(-n2/N_sat) * -expm1(-2|beta| x_bar / N_sat) so
-    that it does not cancel; reduces to (k_max / N_sat) * x_bar when both
-    counts are far below N_sat.
+    |n1 - n2| = 2|beta| |x_bar|, with x_bar the quadrature mean, as
+    sign(x_bar) (k_max / (2|beta|)) exp(-min(n1, n2)/N_sat)
+    * -expm1(-2|beta| |x_bar| / N_sat), so that it neither cancels nor
+    overflows; reduces to (k_max / N_sat) * x_bar when both counts are far
+    below N_sat.
     """
-    _, n2 = detector_counts(beta_mag, xi, alpha_f)
+    n1, n2 = detector_counts(beta_mag, xi, alpha_f)
     x_bar = quadrature_mean(alpha_f, xi)
-    return (det.k_max / (2.0 * beta_mag)) * math.exp(-n2 / det.n_sat) * -math.expm1(
-        -2.0 * beta_mag * x_bar / det.n_sat
+    return math.copysign(
+        (det.k_max / (2.0 * beta_mag)) * math.exp(-min(n1, n2) / det.n_sat)
+        * -math.expm1(-2.0 * beta_mag * abs(x_bar) / det.n_sat),
+        x_bar,
     )
 
 

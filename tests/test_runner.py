@@ -537,28 +537,34 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_balanced_lo_exits_0(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mzi, lo", [
         # |beta| = |alpha_f| with the LO in antiphase drives one detector
         # count to zero; rounding must not make it negative.
-        mzi = {"theta2": 0.2958013512305811, "chi": 0.13486065828518845,
-               "n_photons": 1737.4101612151605}
-        balanced = {"mzi": mzi, "lo": {"beta_mag": 19.71380496708275,
-                                       "xi": 3.3350847892594393},
-                    "detector": {"k_max": 450.0, "n_sat": 500.0}}
+        ({"theta2": 0.2958013512305811, "chi": 0.13486065828518845,
+          "n_photons": 1737.4101612151605},
+         {"beta_mag": 19.71380496708275, "xi": 3.3350847892594393}),
+        # a strong LO with x_bar < 0: 2|beta| |x_bar| / N_sat is about 719,
+        # past the overflow point of exp; the readout is tiny but finite.
+        ({"theta2": 0.3, "chi": -1.0, "n_photons": 1e5}, {"beta_mag": 1000.0}),
+    ], ids=["balanced", "strong"])
+    def test_extreme_lo_exits_0(self, tmp_path, capsys, mzi, lo):
+        extreme = {"mzi": mzi, "lo": lo, "detector": {"k_max": 450.0, "n_sat": 500.0}}
         single_cfg = tmp_path / "single.json"
-        single_cfg.write_text(json.dumps(balanced))
+        single_cfg.write_text(json.dumps(extreme))
         fig4_cfg = tmp_path / "fig4.json"
         fig4_cfg.write_text(json.dumps({
-            **balanced, "n_values": [mzi["n_photons"]],
+            **extreme, "n_values": [mzi["n_photons"]],
             "scan": {"variable": "theta2", "grid": [mzi["theta2"]]},
         }))
         assert main(["single", "--config", str(single_cfg)]) == 0
         saturation = json.loads(capsys.readouterr().out)["saturation"]
         assert min(saturation["n1"], saturation["n2"]) >= 0.0
+        assert all(math.isfinite(value) for value in saturation.values())
         out = tmp_path / "fig4.csv"
         assert main(["fig4", "--config", str(fig4_cfg), "--out", str(out)]) == 0
         _, columns, rows = read_csv(out)
         assert min(cell(rows[0], columns, "n1"), cell(rows[0], columns, "n2")) >= 0.0
+        assert math.isfinite(cell(rows[0], columns, "eta_e"))
 
     def test_single_and_fig4_agree_at_dark_point(self, tmp_path, capsys):
         # Exact dark postselection makes the linear inversion degenerate, so

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -34,16 +35,22 @@ CURRENT_AT_THRESHOLD = 284.4542514729
 
 
 def eta_chain_oracle(n_photons, theta2, chi=1e-4):
-    """Direct evaluation of the saturated readout -> linear inversion chain."""
+    """Direct evaluation of the saturated readout -> linear inversion chain.
+
+    The counts and the defining difference of exponentials are evaluated at
+    50 digits from the float quadrature mean, so the oracle does not share
+    the cancellation that the closed form in ``saturated_quadrature`` avoids.
+    """
     params = MziParams(theta2=theta2, chi=chi, alpha=math.sqrt(n_photons) + 0j)
     amp = chi_tilde_exact(params)
     x_bar = amp.alpha_f_mag * math.sin(amp.chi_tilde)
-    half_total = 0.5 * (FIG4_LO.beta_mag**2 + amp.alpha_f_mag**2)
-    n1 = half_total + FIG4_LO.beta_mag * x_bar
-    n2 = half_total - FIG4_LO.beta_mag * x_bar
-    x_sat = (FIG4_DETECTOR.k_max / (2 * FIG4_LO.beta_mag)) * (
-        math.exp(-n2 / FIG4_DETECTOR.n_sat) - math.exp(-n1 / FIG4_DETECTOR.n_sat)
-    )
+    with localcontext() as ctx:
+        ctx.prec = 50
+        b, a, x = (Decimal(v) for v in (FIG4_LO.beta_mag, amp.alpha_f_mag, x_bar))
+        k_max, n_sat = Decimal(FIG4_DETECTOR.k_max), Decimal(FIG4_DETECTOR.n_sat)
+        half_total = (b**2 + a**2) / 2
+        n1, n2 = half_total + b * x, half_total - b * x
+        x_sat = float(k_max / (2 * b) * ((-n2 / n_sat).exp() - (-n1 / n_sat).exp()))
     biased = math.asin(
         x_sat * FIG4_DETECTOR.n_sat / (FIG4_DETECTOR.k_max * amp.alpha_f_mag)
     )
@@ -160,16 +167,25 @@ class TestSaturatedQuadrature:
         assert abs(x_sat) < abs(x_lin)
         assert math.copysign(1.0, x_sat) == math.copysign(1.0, x_lin)
 
-    def test_matches_decimal_reference(self):
+    @pytest.mark.parametrize("beta_max, re_min, re_max, im_max", [
+        # |Re(alpha_f)| from 1e-9 to 1, where the plain difference cancels
+        (30.0, -9.0, 0.0, 30.0),
+        # a strong LO and |x_bar| up to 1e3, where 2|beta| |x_bar| / N_sat
+        # passes the overflow point of exp
+        (1e3, 0.0, 3.0, 1.0),
+    ])
+    def test_matches_decimal_reference(self, beta_max, re_min, re_max, im_max):
         # With xi = 0 the quadrature mean is Re(alpha_f) exactly, so the
         # defining difference of exponentials can be evaluated at 50 digits
-        # from the same float inputs, down to a mean of 1e-9.
+        # from the same float inputs.  Results below the smallest normal
+        # float keep only an absolute precision.
         k_max, n_sat = Decimal(FIG4_DETECTOR.k_max), Decimal(FIG4_DETECTOR.n_sat)
         rng = random.Random(45)
         for _ in range(2000):
-            beta = rng.uniform(0.5, 30.0)
-            re = math.copysign(10.0 ** rng.uniform(-9.0, 0.0), rng.uniform(-1.0, 1.0))
-            im = rng.uniform(-30.0, 30.0)
+            beta = rng.uniform(0.5, beta_max)
+            magnitude = 10.0 ** rng.uniform(re_min, re_max)
+            re = math.copysign(magnitude, rng.uniform(-1.0, 1.0))
+            im = rng.uniform(-im_max, im_max)
             x_sat = saturated_quadrature(beta, 0.0, complex(re, im), FIG4_DETECTOR)
             with localcontext() as ctx:
                 ctx.prec = 50
@@ -177,7 +193,8 @@ class TestSaturatedQuadrature:
                 n1 = ((a + b) ** 2 + y**2) / 2
                 n2 = ((a - b) ** 2 + y**2) / 2
                 want = k_max / (2 * b) * ((-n2 / n_sat).exp() - (-n1 / n_sat).exp())
-                assert abs(Decimal(x_sat) - want) <= Decimal("1e-12") * abs(want)
+                bound = Decimal("1e-12") * abs(want) + Decimal(sys.float_info.min)
+                assert abs(Decimal(x_sat) - want) <= bound
 
     def test_compression_is_universal(self):
         rng = np.random.default_rng(42)
@@ -261,7 +278,7 @@ class TestErrorRatio:
                 # the oracle forms the quadrature from |alpha_f| sin(chi_tilde)
                 # instead of Re(alpha_f e^{-i xi}); rounding differences get
                 # amplified by the ~1e-4 phase in the denominator
-                assert abs(report.eta_e - oracle) < 1e-9
+                assert abs(report.eta_e - oracle) < 1e-12
 
     def test_nondecreasing_in_intensity_at_weak_postselection(self):
         for theta2 in (0.1, 0.3, 0.5):

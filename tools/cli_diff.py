@@ -38,6 +38,12 @@ BALANCED = {
     "lo": {"beta_mag": 19.71380496708275, "xi": 3.3350847892594393},
     "detector": DETECTOR,
 }
+# A strong LO with x_bar < 0: 2|beta| |x_bar| / N_sat passes exp's overflow point.
+STRONG_LO = {
+    "mzi": {"theta2": 0.3, "chi": -1.0, "n_photons": 1e5},
+    "lo": {"beta_mag": 1000.0},
+    "detector": DETECTOR,
+}
 GRIDS = {
     "default grid": [],
     "2001-point grid": ["--scan", "theta2", "0.6", "0.95", "2001"],
@@ -65,6 +71,7 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "theta1_0.3": {"mzi": {"theta1": 0.3}},
         "balanced": BALANCED,
         "balanced_fig4": {**BALANCED, "n_values": [BALANCED["mzi"]["n_photons"]]},
+        "strong_lo": STRONG_LO,
     }
     for name, mzi in POINTS.items():
         objects[name] = {"mzi": mzi}
@@ -136,6 +143,7 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("fig4 one row, balanced LO",
          ["fig4", "--config", f["balanced_fig4"], "--scan", "theta2",
           repr(BALANCED["mzi"]["theta2"]), repr(BALANCED["mzi"]["theta2"]), "1"]),
+        ("single strong LO", ["single", "--config", f["strong_lo"]]),
     ]
     return out
 
