@@ -56,8 +56,10 @@ class AmplifiedPhase:
     imag_warning: bool = False
 
 
-def weak_value(theta2: float, gamma: float = 0.0) -> WeakValue:
-    """Weak value of the which-path projector for the postselected port.
+def postselection_overlap(
+    theta2: float, gamma: float
+) -> tuple[complex, complex, complex]:
+    """Path amplitudes c1, c2 and their sum, the overlap; ``weak_value`` wraps them.
 
     Raises DarkPointSingularity when |c1 + c2| < 1e-15, i.e. the postselection
     is exactly orthogonal and the weak value diverges.
@@ -69,6 +71,37 @@ def weak_value(theta2: float, gamma: float = 0.0) -> WeakValue:
         raise DarkPointSingularity(
             f"postselection overlap is zero at theta2={theta2}, gamma={gamma}"
         )
+    return c1, c2, overlap
+
+
+def aav_phase(a_w_real: float, chi: float) -> float:
+    """Wrapped small-coupling phase Re(a_w) * chi; ``chi_tilde_aav`` wraps it."""
+    return wrap_angle(a_w_real * chi)
+
+
+def exact_phase(unit: complex, alpha_mag: float, theta2: float, chi: float,
+                gamma: float) -> tuple[float, float]:
+    """(chi_tilde, |alpha_f|) from a unit port amplitude; ``chi_tilde_exact`` wraps them.
+
+    Raises ZeroAmplitude, naming the point by theta2, chi and gamma.
+    """
+    mag = alpha_mag / math.sqrt(2.0) * abs(unit)
+    # At the float dark point rounding leaves |unit| near 1e-16, which a large
+    # N would lift above the threshold; the phase of that residue is noise.
+    if min(mag, abs(unit)) < ZERO_AMPLITUDE_TOL:
+        raise ZeroAmplitude(
+            f"postselected amplitude vanishes at theta2={theta2}, "
+            f"chi={chi}, gamma={gamma}"
+        )
+    return wrap_angle(cmath.phase(unit)), mag
+
+
+def weak_value(theta2: float, gamma: float = 0.0) -> WeakValue:
+    """Weak value of the which-path projector for the postselected port.
+
+    Raises DarkPointSingularity where the overlap vanishes.
+    """
+    c1, c2, overlap = postselection_overlap(theta2, gamma)
     return WeakValue(c1=c1, c2=c2, overlap=overlap, a_w=c1 / overlap)
 
 
@@ -83,7 +116,7 @@ def chi_tilde_aav(
     wv = weak_value(theta2, gamma)
     warn = abs(wv.a_w.imag * chi) > IMAG_WARNING_RATIO * abs(wv.a_w.real * chi)
     return AmplifiedPhase(
-        chi_tilde=wrap_angle(wv.a_w.real * chi),
+        chi_tilde=aav_phase(wv.a_w.real, chi),
         alpha_f_mag=abs(wv.overlap) * alpha_mag,
         mode=MODE_AAV,
         imag_warning=warn,
@@ -98,20 +131,10 @@ def chi_tilde_exact(params: MziParams) -> AmplifiedPhase:
     sqrt(2) * |unit|.  Raises ZeroAmplitude at an exact dark point, where the
     phase is undefined.
     """
-    unit = port_amplitudes(params)[0]
-    mag = abs(params.alpha) / math.sqrt(2.0) * abs(unit)
-    # At the float dark point rounding leaves |unit| near 1e-16, which a large
-    # N would lift above the threshold; the phase of that residue is noise.
-    if min(mag, abs(unit)) < ZERO_AMPLITUDE_TOL:
-        raise ZeroAmplitude(
-            f"postselected amplitude vanishes at theta2={params.theta2}, "
-            f"chi={params.chi}, gamma={params.gamma}"
-        )
-    return AmplifiedPhase(
-        chi_tilde=wrap_angle(cmath.phase(unit)),
-        alpha_f_mag=mag,
-        mode=MODE_EXACT,
-    )
+    theta2, chi, gamma = params.theta2, params.chi, params.gamma
+    unit = port_amplitudes(theta2, chi, gamma)[0]
+    chi_tilde, mag = exact_phase(unit, abs(params.alpha), theta2, chi, gamma)
+    return AmplifiedPhase(chi_tilde=chi_tilde, alpha_f_mag=mag, mode=MODE_EXACT)
 
 
 def invert_chi_branches(

@@ -102,17 +102,18 @@ def phase_shift(a: complex, phi: float) -> complex:
     return a * cmath.exp(1j * phi)
 
 
-def port_amplitudes(params: MziParams) -> tuple[complex, complex]:
+def port_amplitudes(theta2: float, chi: float, gamma: float) -> tuple[complex, complex]:
     """Closed-form port amplitudes behind a balanced first splitter, unit scale.
 
     Returns (e^{i chi} cos(theta2) - e^{i gamma} sin(theta2),
     e^{i chi} sin(theta2) + e^{i gamma} cos(theta2)); the port fields are
-    alpha / sqrt(2) and -i * alpha / sqrt(2) times these.
+    alpha / sqrt(2) and -i * alpha / sqrt(2) times these.  ``propagate_mzi``
+    wraps it in a ``PortFields`` record.
     """
-    arm1 = cmath.exp(1j * params.chi)
-    arm2 = cmath.exp(1j * params.gamma)
-    c2 = math.cos(params.theta2)
-    s2 = math.sin(params.theta2)
+    arm1 = cmath.exp(1j * chi)
+    arm2 = cmath.exp(1j * gamma)
+    c2 = math.cos(theta2)
+    s2 = math.sin(theta2)
     return arm1 * c2 - arm2 * s2, arm1 * s2 + arm2 * c2
 
 
@@ -123,7 +124,7 @@ def propagate_mzi(params: MziParams) -> PortFields:
     input amplitude.
     """
     scale = params.alpha / math.sqrt(2.0)
-    unit_f, unit_fbar = port_amplitudes(params)
+    unit_f, unit_fbar = port_amplitudes(params.theta2, params.chi, params.gamma)
     return PortFields(alpha_f=scale * unit_f, alpha_fbar=-1j * scale * unit_fbar)
 
 

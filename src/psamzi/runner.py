@@ -13,7 +13,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-from .amplification import chi_tilde_aav, chi_tilde_exact, weak_value
+from .amplification import (aav_phase, chi_tilde_aav, chi_tilde_exact, exact_phase,
+                            postselection_overlap, weak_value)
 from .config import RunConfig, config_hash, linspace, strictly_monotone
 from .errors import (
     ConfigError,
@@ -22,8 +23,9 @@ from .errors import (
     ZeroSignal,
 )
 from .homodyne import LoConfig, phase_slope, quadrature_mean, quadrature_stats_exact
-from .optics import MziParams, intensity_difference, propagate_mzi
-from .saturation import DetectorParams, SaturationReport, error_ratio
+from .optics import (coherent_amplitude, intensity_difference, port_amplitudes,
+                     propagate_mzi)
+from .saturation import DetectorParams, error_ratio_fields
 from .shots import averaged_stats, draw_shots, uncertainty_vs_m
 
 # Exposes the amplification ramp without touching the dark-point singularity.
@@ -88,7 +90,8 @@ def _theta2_scan(
 
     Rows come in (block, theta2) order.  The first two columns hold the block
     value and theta2, in either order; ``point`` returns the remaining cells,
-    and a point that raises a sentinel error gets NA in them instead.
+    and a point that raises a sentinel error gets NA in them instead.  Each
+    grid angle passes MziParams' range rule before any point.
     """
     if config.scan is None:
         grid = default_theta2_grid()
@@ -98,6 +101,8 @@ def _theta2_scan(
         )
     else:
         grid = list(config.scan.grid)
+    for theta2 in grid:
+        config.mzi_params(theta2=theta2, chi=0.0)
     theta2_first = columns[0] == "theta2"
     nulls = [None] * (len(columns) - 2)
     rows = []
@@ -128,12 +133,14 @@ def run_fig2(config: RunConfig, workers: int = 1) -> Table:
     ``workers`` is accepted for compatibility and has no effect.
     """
     chi_values = config.chi_values or list(DEFAULT_CHI_VALUES)
+    gamma = config.gamma
+    alpha_mag = abs(coherent_amplitude(config.n_photons, config.input_phase))
 
     def point(chi: float, theta2: float) -> list[object]:
-        wv = weak_value(theta2, config.gamma)
-        wv_amp = chi_tilde_aav(chi, theta2, config.gamma, math.sqrt(config.n_photons))
-        exact = chi_tilde_exact(config.mzi_params(theta2=theta2, chi=chi))
-        return [wv_amp.chi_tilde, exact.chi_tilde, wv.a_w.real, exact.alpha_f_mag**2]
+        a_w = weak_value(theta2, gamma).a_w.real
+        unit = port_amplitudes(theta2, chi, gamma)[0]
+        chi_tilde, alpha_f_mag = exact_phase(unit, alpha_mag, theta2, chi, gamma)
+        return [aav_phase(a_w, chi), chi_tilde, a_w, alpha_f_mag**2]
 
     return _theta2_scan(
         config,
@@ -218,14 +225,15 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     )
 
 
-def _saturation(params: MziParams, lo: LoConfig, det: DetectorParams) -> SaturationReport:
-    """``error_ratio``, with exact dark postselection as a sentinel.
+def _saturation(theta2: float, chi: float, gamma: float, alpha: complex,
+                lo: LoConfig, det: DetectorParams) -> tuple:
+    """``error_ratio_fields``, with exact dark postselection as a sentinel.
 
     There the linear inversion is degenerate even when the port amplitude
-    itself is nonzero, so ``weak_value``'s DarkPointSingularity is raised.
+    itself is nonzero, so the overlap's DarkPointSingularity is raised.
     """
-    weak_value(params.theta2, params.gamma)
-    return error_ratio(params, lo, det)
+    postselection_overlap(theta2, gamma)
+    return error_ratio_fields(theta2, chi, gamma, alpha, lo, det)
 
 
 def run_fig4(config: RunConfig, workers: int = 1) -> Table:
@@ -239,11 +247,11 @@ def run_fig4(config: RunConfig, workers: int = 1) -> Table:
     chi = config.chi if config.chi is not None else FIG4_DEFAULT_CHI
     lo = config.lo
     det = config.detector
+    alphas = {n: coherent_amplitude(n, config.input_phase) for n in n_values}
 
     def point(n_photons: float, theta2: float) -> list[object]:
-        params = config.mzi_params(theta2=theta2, chi=chi, n_photons=n_photons)
-        report = _saturation(params, lo, det)
-        return [report.n1, report.n2, report.eta_e]
+        fields = _saturation(theta2, chi, config.gamma, alphas[n_photons], lo, det)
+        return [fields[0], fields[1], fields[5]]
 
     return _theta2_scan(
         config,
@@ -314,26 +322,21 @@ def run_single(config: RunConfig) -> dict:
 
     if config.detector is not None:
         try:
-            report = _saturation(params, lo, config.detector)
-            record["saturation"] = {
-                "n1": report.n1,
-                "n2": report.n2,
-                "x_linear": report.x_linear,
-                "x_saturated": report.x_saturated,
-                "chi_tilde_biased": report.chi_tilde_biased,
-                "eta_e": report.eta_e,
-            }
+            fields = _saturation(params.theta2, params.chi, params.gamma,
+                                 params.alpha, lo, config.detector)
+            names = ["n1", "n2", "x_linear", "x_saturated", "chi_tilde_biased", "eta_e"]
+            record["saturation"] = dict(zip(names, fields))
         except _SENTINEL_ERRORS:
             record["saturation"] = None
     return record
 
 
-def _format_value(value: object, precision: int) -> str:
+def _format_value(value: object, spec: str) -> str:
     if value is None:
         return "NA"
     if isinstance(value, int):
         return str(value)
-    return format(float(value), f".{precision}e")
+    return format(float(value), spec)
 
 
 def render_csv(table: Table, precision: int) -> str:
@@ -344,18 +347,35 @@ def render_csv(table: Table, precision: int) -> str:
         f"seed={'none' if seed is None else seed}",
         ",".join(table.columns),
     ]
+    spec = f".{precision}e"
     for row in table.rows:
-        lines.append(",".join(_format_value(v, precision) for v in row))
+        lines.append(",".join([_format_value(v, spec) for v in row]))
     return "\n".join(lines) + "\n"
 
 
+# json's C encoder; its item separator is a row cell's break and indent at indent=2.
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
 def render_table_json(table: Table, precision: int) -> str:
-    return render_record_json({
+    """The table in ``render_record_json``'s layout, byte for byte, rows in one C call.
+
+    Every cell is a number or None, so "],\n      [" occurs only between rows;
+    splitting there leaves the output the only large string built after it.
+    """
+    text = render_record_json({
         "config_sha256": table.meta["config_sha256"],
         "seed": table.meta.get("seed"),
         "columns": table.columns,
-        "rows": table.rows,
+        "rows": [],
     })
+    if not table.rows:
+        return text
+    head, tail = text.split('"rows": []')
+    rows = _ROWS_ENCODER.encode(table.rows).split("],\n      [")
+    rows[0] = head + '"rows": [\n    [\n      ' + rows[0][2:]
+    rows[-1] = rows[-1][:-2] + "\n    ]\n  ]" + tail
+    return "\n    ],\n    [\n      ".join(rows)
 
 
 def render_record_json(record: dict) -> str:

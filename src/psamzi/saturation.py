@@ -13,10 +13,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .amplification import ZERO_AMPLITUDE_TOL, chi_tilde_exact
+from .amplification import ZERO_AMPLITUDE_TOL, exact_phase
 from .errors import ZeroAmplitude, ZeroSignal
 from .homodyne import LoConfig, quadrature_mean
-from .optics import MziParams, propagate_mzi
+from .optics import MziParams, port_amplitudes
 
 
 @dataclass
@@ -82,7 +82,12 @@ def saturated_quadrature(
     below N_sat.
     """
     n1, n2 = detector_counts(beta_mag, xi, alpha_f)
-    x_bar = quadrature_mean(alpha_f, xi)
+    return _current_difference(beta_mag, n1, n2, quadrature_mean(alpha_f, xi), det)
+
+
+def _current_difference(beta_mag: float, n1: float, n2: float, x_bar: float,
+                        det: DetectorParams) -> float:
+    """``saturated_quadrature`` from the counts and the quadrature mean it uses."""
     return math.copysign(
         (det.k_max / (2.0 * beta_mag)) * math.exp(-min(n1, n2) / det.n_sat)
         * -math.expm1(-2.0 * beta_mag * abs(x_bar) / det.n_sat),
@@ -105,6 +110,23 @@ def invert_phase_linear_model(
     return math.asin(min(1.0, max(-1.0, arg))), clamped
 
 
+def error_ratio_fields(theta2: float, chi: float, gamma: float, alpha: complex,
+                       lo: LoConfig, det: DetectorParams) -> tuple:
+    """``error_ratio``'s SaturationReport fields in order; ``error_ratio`` wraps them."""
+    unit_f = port_amplitudes(theta2, chi, gamma)[0]
+    alpha_f = alpha / math.sqrt(2.0) * unit_f
+    chi_tilde, alpha_f_mag = exact_phase(unit_f, abs(alpha), theta2, chi, gamma)
+    if chi_tilde == 0.0:
+        raise ZeroSignal("error ratio is undefined at zero amplified phase")
+    xi = lo.effective_phase
+    n1, n2 = detector_counts(lo.beta_mag, xi, alpha_f)
+    x_bar = quadrature_mean(alpha_f, xi)
+    x_saturated = _current_difference(lo.beta_mag, n1, n2, x_bar, det)
+    chi_biased, clamped = invert_phase_linear_model(x_saturated, alpha_f_mag, det)
+    return (n1, n2, (det.k_max / det.n_sat) * x_bar, x_saturated, chi_biased,
+            abs(chi_biased - chi_tilde) / abs(chi_tilde), clamped)
+
+
 def error_ratio(
     params: MziParams, lo: LoConfig, det: DetectorParams
 ) -> SaturationReport:
@@ -114,21 +136,5 @@ def error_ratio(
     result against the exact amplified phase.  Raises ZeroSignal when the true
     amplified phase is zero and the ratio is undefined.
     """
-    fields = propagate_mzi(params)
-    amp = chi_tilde_exact(params)
-    if amp.chi_tilde == 0.0:
-        raise ZeroSignal("error ratio is undefined at zero amplified phase")
-    xi = lo.effective_phase
-    n1, n2 = detector_counts(lo.beta_mag, xi, fields.alpha_f)
-    x_linear = (det.k_max / det.n_sat) * quadrature_mean(fields.alpha_f, xi)
-    x_saturated = saturated_quadrature(lo.beta_mag, xi, fields.alpha_f, det)
-    chi_biased, clamped = invert_phase_linear_model(x_saturated, amp.alpha_f_mag, det)
-    return SaturationReport(
-        n1=n1,
-        n2=n2,
-        x_linear=x_linear,
-        x_saturated=x_saturated,
-        chi_tilde_biased=chi_biased,
-        eta_e=abs(chi_biased - amp.chi_tilde) / abs(amp.chi_tilde),
-        clamped=clamped,
-    )
+    return SaturationReport(*error_ratio_fields(params.theta2, params.chi, params.gamma,
+                                                params.alpha, lo, det))

@@ -13,13 +13,19 @@ from hypothesis import strategies as st
 
 from psamzi import (
     ConfigError,
+    DarkPointSingularity,
     LoConfig,
+    ZeroAmplitude,
+    ZeroSignal,
     averaged_stats,
+    chi_tilde_aav,
     chi_tilde_exact,
+    error_ratio,
     propagate_mzi,
     quadrature_mean,
     quadrature_stats_exact,
     uncertainty_vs_m,
+    weak_value,
 )
 from psamzi.cli import main
 from psamzi.config import (
@@ -39,8 +45,10 @@ from psamzi.runner import (
     DEFAULT_THETA2_GRID_STOP,
     FIG3_DEFAULT_CHI,
     FIG3_DEFAULT_THETA2,
+    Table,
     default_theta2_grid,
     render_csv,
+    render_table_json,
     run_fig2,
     run_fig3,
     run_fig4,
@@ -629,6 +637,18 @@ class TestCli:
             == 1
         )
 
+    @pytest.mark.parametrize("command", ["fig2", "fig4"])
+    def test_grid_past_half_pi_exit_code(self, tmp_path, capsys, command):
+        cfg = tmp_path / "det.json"
+        cfg.write_text(json.dumps({"detector": {"k_max": 450.0, "n_sat": 500.0}}))
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(cfg), "--scan", "theta2", "1.5", "1.7", "5",
+                "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: theta2 must lie in [0, pi/2], got 1.6\n"
+        assert not out.exists()
+
     def test_csv_precision_is_explicit(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"output": {"precision": 6}}))
@@ -642,8 +662,6 @@ class TestCli:
 
 
 def test_render_csv_sentinel_token():
-    from psamzi.runner import Table
-
     table = Table(
         columns=["a", "b"],
         rows=[[1.0, None]],
@@ -652,3 +670,147 @@ def test_render_csv_sentinel_token():
     )
     text = render_csv(table, 3)
     assert "NA" in text.splitlines()[2]
+
+
+DETECTOR = {"k_max": 450.0, "n_sat": 500.0}
+# Both halves end on pi/4, so the grid holds the dark point.
+THROUGH_DARK = linspace(0.6, math.pi / 4, 6) + linspace(math.pi / 4, 0.95, 6)[1:]
+
+
+def _config(tmp_path, raw, grid=None):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    return load_config(path, scan=None if grid is None else ScanSpec("theta2", grid))
+
+
+def _reference_json(table):
+    doc = {"config_sha256": table.meta["config_sha256"], "seed": table.meta["seed"],
+           "columns": table.columns, "rows": table.rows}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _reference_csv(table, precision):
+    seed = table.meta["seed"]
+    lines = [f"# config_sha256={table.meta['config_sha256']} "
+             f"seed={'none' if seed is None else seed}", ",".join(table.columns)]
+    for row in table.rows:
+        cells = []
+        for value in row:
+            if value is None:
+                cells.append("NA")
+            elif isinstance(value, int):
+                cells.append(str(value))
+            else:
+                cells.append(f"{value:.{precision}e}")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _tables(tmp_path):
+    raw = {"detector": DETECTOR, "shots": {"seed": 5, "runs": 3}}
+    tables = {}
+    for name, grid in (("default", None), ("through pi/4", THROUGH_DARK),
+                       ("[pi/4]", [math.pi / 4])):
+        config = _config(tmp_path, raw, grid)
+        tables[f"fig2 {name}"] = run_fig2(config)
+        tables[f"fig4 {name}"] = run_fig4(config)
+    fig3 = _config(tmp_path, {**raw, "scan": {"variable": "m", "grid": [1, 10, 100]}})
+    tables["fig3"] = run_fig3(fig3)
+    tables["no rows"] = Table(columns=["a", "b"], rows=[],
+                              meta={"config_sha256": "0" * 64, "seed": None})
+    return tables
+
+
+class TestRenderBytes:
+    @pytest.mark.parametrize("precision", [1, 12, 17])
+    def test_renderers_match_references(self, tmp_path, precision):
+        tables = _tables(tmp_path)
+        assert tables["fig4 [pi/4]"].sentinel_only
+        assert 0 < tables["fig2 through pi/4"].sentinel_rows < 22
+        assert isinstance(tables["fig3"].rows[0][0], int)
+        for name, table in tables.items():
+            assert render_table_json(table, precision) == _reference_json(table), name
+            assert render_csv(table, precision) == _reference_csv(table, precision), name
+
+
+# Seeded angles on both sides of the dark point, plus the dark point and 0.
+_rng = random.Random(15)
+RECORD_GRID = sorted(
+    [0.0, math.pi / 4]
+    + [_rng.uniform(0.05, math.pi / 4 - 1e-3) for _ in range(6)]
+    + [_rng.uniform(math.pi / 4 + 1e-3, math.pi / 2) for _ in range(6)]
+)
+_SENTINELS = (DarkPointSingularity, ZeroAmplitude, ZeroSignal)
+
+
+def _fig4_record(config, theta2, n_photons):
+    try:
+        weak_value(theta2, config.gamma)
+        params = config.mzi_params(theta2=theta2, n_photons=n_photons)
+        report = error_ratio(params, config.lo, config.detector)
+    except _SENTINELS:
+        return None
+    return report
+
+
+@pytest.mark.parametrize("mzi, lo", [
+    # abs(coherent_amplitude(150, 0.7)) is not sqrt(150) in floats.  chi = gamma
+    # makes pi/4 a ZeroAmplitude point, and chi = 0 makes theta2 = 0 fig4's
+    # ZeroSignal point.
+    ({"gamma": 0.05, "input_phase": 0.7, "n_photons": 150.0, "chi": 0.05}, None),
+    ({"gamma": 0.0, "input_phase": -1.1, "n_photons": 80.0, "chi": 0.0},
+     {"beta_mag": 5.0, "xi": 1.2, "delta": 0.01}),
+])
+class TestScanRowsMatchRecords:
+    """Every scan cell equals the record API's value, and NA its sentinel error."""
+
+    def _scan_config(self, tmp_path, mzi, lo):
+        raw = {"mzi": mzi, "detector": DETECTOR, "chi_values": [1e-3, mzi["chi"], -0.02],
+               "n_values": [100.0, 2000.0]}
+        if lo is not None:
+            raw["lo"] = lo
+        return _config(tmp_path, raw, RECORD_GRID)
+
+    def test_fig2(self, tmp_path, mzi, lo):
+        config = self._scan_config(tmp_path, mzi, lo)
+        table = run_fig2(config)
+        gamma, root_n = config.gamma, math.sqrt(config.n_photons)
+        for chi, theta2, *cells in table.rows:
+            try:
+                aav = chi_tilde_aav(chi, theta2, gamma, root_n)
+                exact = chi_tilde_exact(config.mzi_params(theta2=theta2, chi=chi))
+                expected = [aav.chi_tilde, exact.chi_tilde,
+                            weak_value(theta2, gamma).a_w.real, exact.alpha_f_mag**2]
+            except _SENTINELS:
+                expected = [None] * 4
+            assert cells == expected, (chi, theta2)
+        assert table.sentinel_rows == sum(row[2] is None for row in table.rows) > 0
+
+    def test_fig4(self, tmp_path, mzi, lo):
+        config = self._scan_config(tmp_path, mzi, lo)
+        table = run_fig4(config)
+        for theta2, n_photons, *cells in table.rows:
+            report = _fig4_record(config, theta2, n_photons)
+            expected = ([None] * 3 if report is None
+                        else [report.n1, report.n2, report.eta_e])
+            assert cells == expected, (theta2, n_photons)
+        assert table.sentinel_rows == sum(row[2] is None for row in table.rows) > 0
+
+    def test_one_row_fig4_matches_single(self, tmp_path, mzi, lo):
+        config = self._scan_config(tmp_path, mzi, lo)
+        for theta2 in RECORD_GRID:
+            config.scan = ScanSpec("theta2", [theta2])
+            config.n_values = [config.n_photons]
+            row = run_fig4(config).rows[0]
+            config.scan, config.theta2 = None, theta2
+            saturation = run_single(config)["saturation"]
+            report = _fig4_record(config, theta2, config.n_photons)
+            if report is None:
+                assert saturation is None and row[2:] == [None] * 3
+                continue
+            assert saturation == {
+                "n1": report.n1, "n2": report.n2, "x_linear": report.x_linear,
+                "x_saturated": report.x_saturated,
+                "chi_tilde_biased": report.chi_tilde_biased, "eta_e": report.eta_e,
+            }
+            assert row[2:] == [saturation["n1"], saturation["n2"], saturation["eta_e"]]

@@ -144,6 +144,9 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
          ["fig4", "--config", f["balanced_fig4"], "--scan", "theta2",
           repr(BALANCED["mzi"]["theta2"]), repr(BALANCED["mzi"]["theta2"]), "1"]),
         ("single strong LO", ["single", "--config", f["strong_lo"]]),
+        ("fig2 grid past pi/2", ["fig2", "--scan", "theta2", "1.5", "1.7", "5"]),
+        ("fig4 grid past pi/2",
+         ["fig4", "--config", f["det"], "--scan", "theta2", "1.5", "1.7", "5"]),
     ]
     return out
 
