@@ -7,8 +7,6 @@ seeded shot averaging, and photodetector-saturation error analysis.
 
 from .amplification import (
     AmplifiedPhase,
-    MODE_AAV,
-    MODE_EXACT,
     WeakValue,
     chi_tilde_aav,
     chi_tilde_exact,
@@ -56,7 +54,6 @@ from .saturation import (
 )
 from .shots import (
     ChiEstimate,
-    ShotRun,
     UncertaintyPoint,
     averaged_stats,
     estimate_chi_from_run,
@@ -74,15 +71,12 @@ __all__ = [
     "DetectorParams",
     "DomainError",
     "LoConfig",
-    "MODE_AAV",
-    "MODE_EXACT",
     "MziParams",
     "NoRoot",
     "PortFields",
     "QUADRATURE_STD",
     "QuadratureStats",
     "SaturationReport",
-    "ShotRun",
     "UncertaintyPoint",
     "WeakValue",
     "ZeroAmplitude",

@@ -19,9 +19,6 @@ from .optics import MziParams, port_amplitudes, wrap_angle
 DARK_OVERLAP_TOL = 1e-15
 ZERO_AMPLITUDE_TOL = 1e-15
 
-MODE_AAV = "aav"
-MODE_EXACT = "exact"
-
 # Fraction of the real part above which an imaginary weak-value component is
 # flagged as not extractable from a quadrature measurement.
 IMAG_WARNING_RATIO = 0.01
@@ -52,7 +49,6 @@ class AmplifiedPhase:
 
     chi_tilde: float
     alpha_f_mag: float
-    mode: str
     imag_warning: bool = False
 
 
@@ -105,20 +101,17 @@ def weak_value(theta2: float, gamma: float = 0.0) -> WeakValue:
     return WeakValue(c1=c1, c2=c2, overlap=overlap, a_w=c1 / overlap)
 
 
-def chi_tilde_aav(
-    chi: float, theta2: float, gamma: float = 0.0, alpha_mag: float = 1.0
-) -> AmplifiedPhase:
+def chi_tilde_aav(params: MziParams) -> AmplifiedPhase:
     """Small-coupling amplified phase Re(a_w) * chi.
 
-    ``alpha_mag`` scales the postselected amplitude |c1 + c2| * |alpha|; it
-    defaults to one because the phase itself does not depend on it.
+    The postselected amplitude it rides on is |c1 + c2| * |alpha|.
     """
-    wv = weak_value(theta2, gamma)
+    chi = params.chi
+    wv = weak_value(params.theta2, params.gamma)
     warn = abs(wv.a_w.imag * chi) > IMAG_WARNING_RATIO * abs(wv.a_w.real * chi)
     return AmplifiedPhase(
         chi_tilde=aav_phase(wv.a_w.real, chi),
-        alpha_f_mag=abs(wv.overlap) * alpha_mag,
-        mode=MODE_AAV,
+        alpha_f_mag=abs(wv.overlap) * abs(params.alpha),
         imag_warning=warn,
     )
 
@@ -134,7 +127,7 @@ def chi_tilde_exact(params: MziParams) -> AmplifiedPhase:
     theta2, chi, gamma = params.theta2, params.chi, params.gamma
     unit = port_amplitudes(theta2, chi, gamma)[0]
     chi_tilde, mag = exact_phase(unit, abs(params.alpha), theta2, chi, gamma)
-    return AmplifiedPhase(chi_tilde=chi_tilde, alpha_f_mag=mag, mode=MODE_EXACT)
+    return AmplifiedPhase(chi_tilde=chi_tilde, alpha_f_mag=mag)
 
 
 def invert_chi_branches(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .amplification import AmplifiedPhase, chi_tilde_aav, chi_tilde_exact, invert_chi
 from .errors import DomainError, ZeroSignal
@@ -81,7 +81,7 @@ def quadrature_stats_aav(params: MziParams) -> QuadratureStats:
     if params.gamma != 0.0:
         raise ValueError("small-coupling statistics are defined for the "
                          "splitter-modulation scheme (gamma = 0)")
-    amp = chi_tilde_aav(params.chi, params.theta2, 0.0, abs(params.alpha))
+    amp = chi_tilde_aav(params)
     return _one_shot_stats(amp, math.cos(params.theta2) - math.sin(params.theta2))
 
 
@@ -93,9 +93,7 @@ def quadrature_stats_exact(params: MziParams) -> QuadratureStats:
     return _one_shot_stats(chi_tilde_exact(params))
 
 
-def modulation_error_compare(
-    chi: float, params: MziParams, delta: float
-) -> tuple[float, float]:
+def modulation_error_compare(params: MziParams, delta: float) -> tuple[float, float]:
     """Relative phase bias from an LO phase error, with and without postselection.
 
     A conventional readout infers arcsin of the normalized quadrature and picks
@@ -103,10 +101,10 @@ def modulation_error_compare(
     amplified phase, dividing the offset by the amplification.  Returns
     (conventional_bias, postselected_bias), both as |inferred - chi| / |chi|.
     """
+    chi = params.chi
     if chi == 0.0:
         raise ZeroSignal("relative bias is undefined at chi = 0")
-    work = replace(params, chi=chi)
-    amp = chi_tilde_exact(work)
+    amp = chi_tilde_exact(params)
     half_pi = math.pi / 2
     if not -half_pi < chi + delta < half_pi:
         raise DomainError(f"chi + delta = {chi + delta} outside (-pi/2, pi/2)")

@@ -159,7 +159,9 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
 
     The Monte-Carlo column re-estimates the quadrature fluctuation from the
     spread of ``runs`` batch means per grid point.  Row ``i`` draws its batches
-    in turn from one generator, ``numpy.random.default_rng([seed, i])``.
+    in turn from one generator, ``numpy.random.default_rng([seed, i])``.  At a
+    working point with no amplified phase every row is a sentinel: it keeps its
+    ``m``, holds NA elsewhere, and no batch is drawn.
     ``workers`` is accepted for compatibility and has no effect.
     """
     import numpy as np
@@ -187,24 +189,31 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     chi = config.chi if config.chi is not None else FIG3_DEFAULT_CHI
     lo = config.lo
     params = config.mzi_params(theta2=theta2, chi=chi)
-    stats = quadrature_stats_exact(params)
-    amp = chi_tilde_exact(params)
-    mean = quadrature_mean(propagate_mzi(params).alpha_f, lo.effective_phase)
-    slope = phase_slope(amp)
-
-    rows: list[list[object]] = []
-    for index, point in enumerate(uncertainty_vs_m(params, m_grid)):
-        rng = np.random.default_rng([seed, index])
-        means = np.array([draw_shots(rng, mean, point.m).mean() for _ in range(runs)])
-        std_mc = float(means.std(ddof=1))
-        rows.append([
-            point.m,
-            averaged_stats(point.m, stats).sensitivity,
-            amp.chi_tilde * slope / std_mc if std_mc > 0 else None,
-            point.chi_tilde,
-            point.lower,
-            point.upper,
-        ])
+    try:
+        stats = quadrature_stats_exact(params)
+    except _SENTINEL_ERRORS:
+        rows: list[list[object]] = [[m, None, None, None, None, None] for m in m_grid]
+        sentinels = len(rows)
+    else:
+        amp = chi_tilde_exact(params)
+        mean = quadrature_mean(propagate_mzi(params).alpha_f, lo.effective_phase)
+        slope = phase_slope(amp)
+        rows = []
+        sentinels = 0
+        for index, point in enumerate(uncertainty_vs_m(params, m_grid)):
+            rng = np.random.default_rng([seed, index])
+            means = np.array(
+                [draw_shots(rng, mean, point.m).mean() for _ in range(runs)]
+            )
+            std_mc = float(means.std(ddof=1))
+            rows.append([
+                point.m,
+                averaged_stats(point.m, stats).sensitivity,
+                amp.chi_tilde * slope / std_mc if std_mc > 0 else None,
+                point.chi_tilde,
+                point.lower,
+                point.upper,
+            ])
 
     sha = _config_sha256(
         config,
@@ -222,6 +231,7 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
                  "chi_tilde_upper"],
         rows=rows,
         meta={"config_sha256": sha, "seed": seed},
+        sentinel_rows=sentinels,
     )
 
 
@@ -300,10 +310,7 @@ def run_single(config: RunConfig) -> dict:
 
     try:
         wv = weak_value(params.theta2, params.gamma)
-        wv_amp = chi_tilde_aav(
-            params.chi, params.theta2, params.gamma, abs(params.alpha)
-        )
-        record["chi_tilde_aav"] = wv_amp.chi_tilde
+        record["chi_tilde_aav"] = chi_tilde_aav(params).chi_tilde
         record["weak_value"] = wv.a_w.real
     except DarkPointSingularity:
         record["chi_tilde_aav"] = None

@@ -26,29 +26,8 @@ def _is_int(value: object) -> bool:
 
 
 @dataclass
-class ShotRun:
-    """One batch of repeated quadrature measurements.
-
-    Identical (seed, m, alpha_f, xi) inputs reproduce identical samples
-    bit-for-bit.
-    """
-
-    m: int
-    seed: int
-    samples: np.ndarray
-
-    @property
-    def sample_mean(self) -> float:
-        return float(self.samples.mean())
-
-    @property
-    def sample_std(self) -> float:
-        return float(self.samples.std(ddof=1)) if self.m > 1 else 0.0
-
-
-@dataclass
 class ChiEstimate:
-    """Phase estimate extracted from a shot run.
+    """Phase estimate extracted from a batch of quadrature samples.
 
     ``clamped`` is set when the normalized sample mean fell outside [-1, 1]
     (possible at small M) and was clipped before the arcsin.
@@ -59,11 +38,11 @@ class ChiEstimate:
     clamped: bool = False
 
 
-def sample_shots(alpha_f: complex, xi: float, m: int, seed: int) -> ShotRun:
+def sample_shots(alpha_f: complex, xi: float, m: int, seed: int) -> np.ndarray:
     """Draw ``m`` independent quadrature outcomes for the given port amplitude.
 
     The whole batch is drawn in one vectorized pass from a generator seeded by
-    ``seed``, so the same arguments give the same samples.
+    ``seed``, so the same arguments give the same samples, bit for bit.
     """
     if not _is_int(m) or m < 1:
         raise ValueError(f"shot count must be an integer >= 1, got {m!r}")
@@ -71,8 +50,7 @@ def sample_shots(alpha_f: complex, xi: float, m: int, seed: int) -> ShotRun:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     import numpy as np
 
-    samples = draw_shots(np.random.default_rng(seed), quadrature_mean(alpha_f, xi), m)
-    return ShotRun(m=m, seed=seed, samples=samples)
+    return draw_shots(np.random.default_rng(seed), quadrature_mean(alpha_f, xi), m)
 
 
 def draw_shots(rng: np.random.Generator, mean: float, m: int) -> np.ndarray:
@@ -98,17 +76,17 @@ def averaged_stats(m: int, base: QuadratureStats) -> QuadratureStats:
 
 
 def estimate_chi_from_run(
-    run: ShotRun, alpha_f_mag: float, theta2: float, gamma: float = 0.0
+    samples: np.ndarray, alpha_f_mag: float, theta2: float, gamma: float = 0.0
 ) -> ChiEstimate:
-    """Invert a shot run into amplified-phase and bare-phase estimates.
+    """Invert a batch of quadrature samples into amplified and bare phase estimates.
 
-    chi_tilde_hat = arcsin(sample_mean / alpha_f_mag), clipped to [-1, 1] with
+    chi_tilde_hat = arcsin(mean(samples) / alpha_f_mag), clipped to [-1, 1] with
     a flag rather than discarding noisy runs, then mapped back through the
     exact forward relation.
     """
     if alpha_f_mag <= ZERO_AMPLITUDE_TOL:
         raise ZeroAmplitude("cannot normalize samples by a vanishing amplitude")
-    ratio = run.sample_mean / alpha_f_mag
+    ratio = float(samples.mean()) / alpha_f_mag
     clamped = abs(ratio) > 1.0
     chi_tilde_hat = math.asin(min(1.0, max(-1.0, ratio)))
     return ChiEstimate(

@@ -39,14 +39,14 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"acceptance {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def port_amplitude_oracle(theta1, theta2, gamma, chi, alpha):
-    """Independent 2x2 matrix propagation of the amplitude pair."""
+def port_amplitude_oracle(theta2, gamma, chi, alpha):
+    """Independent 2x2 matrix propagation of the amplitude pair, 50:50 splitter first."""
 
     def splitter(theta):
         c, s = math.cos(theta), math.sin(theta)
         return np.array([[c, -1j * s], [-1j * s, c]])
 
-    v = splitter(theta1) @ np.array([alpha, 0.0], dtype=complex)
+    v = splitter(math.pi / 4) @ np.array([alpha, 0.0], dtype=complex)
     v = np.array([v[0] * cmath.exp(1j * chi), v[1] * cmath.exp(1j * gamma)])
     v = splitter(theta2) @ v
     return complex(v[0])
@@ -85,7 +85,7 @@ def test_criterion_03_amplification_anchor():
     amp = chi_tilde_exact(params)
     ratio = amp.chi_tilde / 1e-2
     oracle = wrap_angle(
-        cmath.phase(port_amplitude_oracle(math.pi / 4, NEAR_DARK, 0.0, 1e-2, 10.0))
+        cmath.phase(port_amplitude_oracle(NEAR_DARK, 0.0, 1e-2, 10.0))
     )
     oracle_gap = abs(amp.chi_tilde - oracle)
     ok = 95 <= ratio <= 110 and oracle_gap < 1e-10
@@ -100,15 +100,13 @@ def test_criterion_03_amplification_anchor():
 def test_criterion_04_aav_convergence():
     worst_small = 0.0
     for theta2 in np.linspace(0.6, 0.78, 200):
-        aav = chi_tilde_aav(1e-4, theta2).chi_tilde
-        exact = chi_tilde_exact(
-            MziParams(theta2=theta2, chi=1e-4, alpha=1.0 + 0j)
-        ).chi_tilde
+        params = MziParams(theta2=theta2, chi=1e-4, alpha=1.0 + 0j)
+        aav = chi_tilde_aav(params).chi_tilde
+        exact = chi_tilde_exact(params).chi_tilde
         worst_small = max(worst_small, abs(aav - exact) / abs(exact))
-    aav_large = chi_tilde_aav(1e-2, NEAR_DARK).chi_tilde
-    exact_large = chi_tilde_exact(
-        MziParams(theta2=NEAR_DARK, chi=1e-2, alpha=1.0 + 0j)
-    ).chi_tilde
+    params = MziParams(theta2=NEAR_DARK, chi=1e-2, alpha=1.0 + 0j)
+    aav_large = chi_tilde_aav(params).chi_tilde
+    exact_large = chi_tilde_exact(params).chi_tilde
     divergence = abs(aav_large - exact_large) / abs(exact_large)
     ok = worst_small < 1e-2 and divergence > 0.30
     report(
@@ -137,7 +135,7 @@ def test_criterion_05_sensitivity_formulas():
             ),
             (
                 quadrature_stats_aav(params),
-                chi_tilde_aav(chi, theta2).chi_tilde,
+                chi_tilde_aav(params).chi_tilde,
                 math.sqrt(n / 2.0) * (math.cos(theta2) - math.sin(theta2)),
             ),
         ):
@@ -176,7 +174,7 @@ def test_criterion_06_shot_averaging():
         seeds = np.random.SeedSequence([20250803, m]).generate_state(500)
         means = np.array(
             [
-                sample_shots(fields.alpha_f, math.pi / 2, m, int(seed)).sample_mean
+                sample_shots(fields.alpha_f, math.pi / 2, m, int(seed)).mean()
                 for seed in seeds
             ]
         )

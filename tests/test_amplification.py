@@ -16,8 +16,6 @@ import pytest
 import psamzi
 from psamzi import (
     DarkPointSingularity,
-    MODE_AAV,
-    MODE_EXACT,
     MziParams,
     NoRoot,
     ZeroAmplitude,
@@ -32,6 +30,7 @@ from psamzi import (
     weak_value,
     wrap_angle,
 )
+from psamzi.amplification import IMAG_WARNING_RATIO
 
 SQ2 = math.sqrt(2.0)
 NEAR_DARK = math.pi / 4 - 0.003
@@ -44,10 +43,16 @@ CHI_TILDE_EXACT_1E2 = 1.035379179481
 CHI_TILDE_EXACT_1E4 = 1.671507374168e-02
 
 
-def two_vector_weak_value(theta2, gamma):
-    """Oracle: <f|A|i>/<f|i> with explicit 2-vector linear algebra."""
+def two_vector_states(theta2, gamma):
+    """Oracle: the pre- and postselected states |i> and |f> as explicit 2-vectors."""
     pre = np.array([1.0, -1j]) / SQ2
     post = np.array([math.cos(theta2), 1j * math.sin(theta2) * cmath.exp(-1j * gamma)])
+    return pre, post
+
+
+def two_vector_weak_value(theta2, gamma):
+    """Oracle: <f|A|i>/<f|i> with explicit 2-vector linear algebra."""
+    pre, post = two_vector_states(theta2, gamma)
     projector = np.array([[1.0, 0.0], [0.0, 0.0]])
     return complex(post.conj() @ projector @ pre) / complex(post.conj() @ pre)
 
@@ -101,38 +106,62 @@ class TestWeakValue:
 
 class TestAavPhase:
     def test_reference_amplification(self):
-        amp = chi_tilde_aav(1e-4, NEAR_DARK)
+        amp = chi_tilde_aav(MziParams(theta2=NEAR_DARK, chi=1e-4, alpha=1.0 + 0j))
         assert math.isclose(amp.chi_tilde, CHI_TILDE_AAV_1E4, rel_tol=1e-12)
-        assert amp.mode == MODE_AAV
         assert not amp.imag_warning
 
     def test_identity_when_unrotated(self):
         for chi in (1e-4, 0.3, -0.2):
-            assert math.isclose(chi_tilde_aav(chi, 0.0).chi_tilde, chi, rel_tol=1e-14)
+            amp = chi_tilde_aav(MziParams(theta2=0.0, chi=chi, alpha=1.0 + 0j))
+            assert math.isclose(amp.chi_tilde, chi, rel_tol=1e-14)
 
     def test_phase_modulation_sets_imag_warning(self):
         # Modulating gamma instead of theta2 leaves the overlap imaginary, so
         # the amplified factor is not a quadrature-extractable phase.
-        amp = chi_tilde_aav(1e-2, math.pi / 4, gamma=0.02)
-        assert amp.imag_warning
+        params = MziParams(theta2=math.pi / 4, chi=1e-2, alpha=1.0 + 0j, gamma=0.02)
+        assert chi_tilde_aav(params).imag_warning
         wv = weak_value(math.pi / 4, 0.02)
         assert abs(wv.a_w.imag) > abs(wv.a_w.real)
 
     def test_amplitude_scaling(self):
-        amp = chi_tilde_aav(1e-4, 0.6, alpha_mag=10.0)
+        amp = chi_tilde_aav(MziParams(theta2=0.6, chi=1e-4, alpha=10.0 + 0j))
         wv = weak_value(0.6, 0.0)
         assert math.isclose(amp.alpha_f_mag, abs(wv.overlap) * 10.0, rel_tol=1e-14)
 
+    def test_reads_every_params_field(self):
+        # Seeded points on both sides of the dark point, with gamma != 0 and
+        # |alpha| != 1, against the two-vector oracle: a chi_tilde_aav that
+        # dropped gamma or took |alpha| as 1 fails.
+        rng = np.random.default_rng(24)
+        warnings = set()
+        for side in (-1.0, 1.0):
+            for _ in range(300):
+                theta2 = math.pi / 4 + side * rng.uniform(0.01, math.pi / 4 - 0.01)
+                gamma = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 1.0)
+                chi = rng.choice([-1.0, 1.0]) * rng.uniform(1e-5, 0.3)
+                alpha = cmath.rect(rng.uniform(2.0, 40.0), rng.uniform(-math.pi, math.pi))
+                params = MziParams(theta2=theta2, chi=chi, alpha=alpha, gamma=gamma)
+                amp = chi_tilde_aav(params)
+                a_w = two_vector_weak_value(theta2, gamma)
+                pre, post = two_vector_states(theta2, gamma)
+                phase = a_w.real * chi
+                assert abs(wrap_angle(amp.chi_tilde - phase)) < 1e-12 * (1 + abs(phase))
+                overlap = abs(complex(post.conj() @ pre))
+                assert math.isclose(amp.alpha_f_mag, overlap * abs(alpha), rel_tol=1e-12)
+                ratio = abs(a_w.imag) / abs(a_w.real)
+                assert amp.imag_warning == (ratio > IMAG_WARNING_RATIO)
+                warnings.add(amp.imag_warning)
+        assert warnings == {False, True}
+
     def test_propagates_dark_point(self):
         with pytest.raises(DarkPointSingularity):
-            chi_tilde_aav(1e-4, math.pi / 4)
+            chi_tilde_aav(MziParams(theta2=math.pi / 4, chi=1e-4, alpha=1.0 + 0j))
 
 
 class TestExactPhase:
     def test_reference_amplification(self):
         params = MziParams(theta2=NEAR_DARK, chi=1e-2, alpha=10.0 + 0j)
         amp = chi_tilde_exact(params)
-        assert amp.mode == MODE_EXACT
         assert abs(amp.chi_tilde - CHI_TILDE_EXACT_1E2) < 1e-9
         assert 95 <= amp.chi_tilde / 1e-2 <= 110
         oracle = port_phase_oracle(NEAR_DARK, 0.0, 1e-2, 10.0 + 0j)
@@ -146,7 +175,7 @@ class TestExactPhase:
         params = MziParams(theta2=NEAR_DARK, chi=1e-4, alpha=10.0 + 0j)
         exact = chi_tilde_exact(params)
         assert abs(exact.chi_tilde - CHI_TILDE_EXACT_1E4) < 1e-12
-        aav = chi_tilde_aav(1e-4, NEAR_DARK)
+        aav = chi_tilde_aav(params)
         assert abs(exact.chi_tilde - aav.chi_tilde) / aav.chi_tilde < 2e-4
 
     def test_phase_and_magnitude_identities(self):
@@ -215,7 +244,7 @@ class TestExactPhase:
         assert math.isclose(amp.alpha_f_mag**2, photons, rel_tol=1e-9)
         assert abs(amp.chi_tilde - (math.copysign(math.pi / 2, chi) + chi / 2)) < 1e-10
         with pytest.raises(DarkPointSingularity):
-            chi_tilde_aav(chi, math.pi / 4)
+            chi_tilde_aav(params)
 
     def test_continuous_on_each_side_of_dark_point(self):
         # No branch jump approaching the dark angle from either side.
@@ -238,10 +267,9 @@ class TestExactPhase:
         chis = np.logspace(-6, -3, 7)
         gaps = []
         for chi in chis:
-            aav = chi_tilde_aav(chi, NEAR_DARK).chi_tilde
-            exact = chi_tilde_exact(
-                MziParams(theta2=NEAR_DARK, chi=chi, alpha=1.0 + 0j)
-            ).chi_tilde
+            params = MziParams(theta2=NEAR_DARK, chi=chi, alpha=1.0 + 0j)
+            aav = chi_tilde_aav(params).chi_tilde
+            exact = chi_tilde_exact(params).chi_tilde
             gaps.append(abs(exact - aav) / aav)
         assert all(b < a for a, b in zip(gaps[1:], gaps))
         slope = np.polyfit(np.log(chis), np.log(gaps), 1)[0]

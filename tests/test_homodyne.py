@@ -198,13 +198,13 @@ class TestInformationBound:
 class TestModulationError:
     def test_zero_offset(self):
         params = MziParams(theta2=NEAR_DARK, chi=1e-4, alpha=10.0 + 0j)
-        conventional, postselected = modulation_error_compare(1e-4, params, 0.0)
+        conventional, postselected = modulation_error_compare(params, 0.0)
         assert conventional < 1e-9
         assert postselected < 1e-9
 
     def test_reference_offset(self):
         params = MziParams(theta2=NEAR_DARK, chi=1e-4, alpha=10.0 + 0j)
-        conventional, postselected = modulation_error_compare(1e-4, params, 1e-3)
+        conventional, postselected = modulation_error_compare(params, 1e-3)
         assert math.isclose(conventional, 10.0, rel_tol=1e-9)
         # frozen chain oracle value; first-order estimate delta / (a_w * chi)
         assert abs(postselected - 0.0598382953) < 1e-8
@@ -219,19 +219,19 @@ class TestModulationError:
         ):
             params = MziParams(theta2=theta2, chi=chi, alpha=10.0 + 0j)
             assert weak_value(theta2).a_w.real > 1
-            conventional, postselected = modulation_error_compare(chi, params, delta)
+            conventional, postselected = modulation_error_compare(params, delta)
             assert postselected < conventional
 
     def test_domain_error(self):
         params = MziParams(theta2=NEAR_DARK, chi=1e-2, alpha=10.0 + 0j)
         # chi_tilde ~ 1.035 rad, so a 0.6 rad offset leaves (-pi/2, pi/2)
         with pytest.raises(DomainError):
-            modulation_error_compare(1e-2, params, 0.6)
+            modulation_error_compare(params, 0.6)
 
     def test_zero_signal(self):
         params = MziParams(theta2=0.6, chi=0.0, alpha=10.0 + 0j)
         with pytest.raises(ZeroSignal):
-            modulation_error_compare(0.0, params, 1e-3)
+            modulation_error_compare(params, 1e-3)
 
 
 class TestRescaledIntensity:

@@ -606,6 +606,30 @@ class TestCli:
         assert main(["fig2", "--config", str(cfg), "--out", str(out)]) == 3
         assert "NA" in out.read_text()
 
+    @pytest.mark.parametrize("mzi, sha", [
+        ({"n_photons": 0},
+         "58544c3c9cae557aa9a1e503133025462ef5dbcc21cd9034fef7851791f2ee4f"),
+        ({"theta2": math.pi / 4, "chi": 0.0},
+         "01d40805fcaea313393c537b330c7e83486702951b37f1f068fe02a5a17aada4"),
+    ], ids=["no_photons", "dark_zero_phase"])
+    def test_fig3_without_amplified_phase(self, tmp_path, monkeypatch, mzi, sha):
+        # No port field means no amplified phase: every row keeps its m, holds
+        # NA elsewhere and counts as a sentinel, and no shot is drawn.
+        def no_draws(*args):
+            raise AssertionError("fig3 drew shots at a point with no amplified phase")
+
+        monkeypatch.setattr("psamzi.runner.draw_shots", no_draws)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mzi": mzi}))
+        table = run_fig3(load_config(cfg, seed=1))
+        assert table.rows == [[m] + [None] * 5 for m in DEFAULT_M_GRID]
+        assert table.sentinel_rows == len(DEFAULT_M_GRID)
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--seed", "1", "--config", str(cfg), "--out", str(out)]) == 3
+        comment, columns, rows = read_csv(out)
+        assert comment == f"# config_sha256={sha} seed=1"
+        assert rows == [[str(m)] + ["NA"] * 5 for m in DEFAULT_M_GRID]
+
     def test_json_table_format(self, tmp_path):
         out = tmp_path / "fig2.json"
         code = main(
@@ -774,11 +798,12 @@ class TestScanRowsMatchRecords:
     def test_fig2(self, tmp_path, mzi, lo):
         config = self._scan_config(tmp_path, mzi, lo)
         table = run_fig2(config)
-        gamma, root_n = config.gamma, math.sqrt(config.n_photons)
+        gamma = config.gamma
         for chi, theta2, *cells in table.rows:
+            params = config.mzi_params(theta2=theta2, chi=chi)
             try:
-                aav = chi_tilde_aav(chi, theta2, gamma, root_n)
-                exact = chi_tilde_exact(config.mzi_params(theta2=theta2, chi=chi))
+                aav = chi_tilde_aav(params)
+                exact = chi_tilde_exact(params)
                 expected = [aav.chi_tilde, exact.chi_tilde,
                             weak_value(theta2, gamma).a_w.real, exact.alpha_f_mag**2]
             except _SENTINELS:

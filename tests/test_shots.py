@@ -12,7 +12,6 @@ import pytest
 from psamzi import (
     MziParams,
     QuadratureStats,
-    ShotRun,
     ZeroAmplitude,
     averaged_stats,
     chi_tilde_exact,
@@ -49,26 +48,25 @@ class TestSampling:
         alpha_f = 0.03 + 0.05j
         first = sample_shots(alpha_f, math.pi / 2, 5000, seed=987)
         second = sample_shots(alpha_f, math.pi / 2, 5000, seed=987)
-        assert np.array_equal(first.samples, second.samples)
-        assert first.sample_mean == second.sample_mean
+        assert np.array_equal(first, second)
+        assert first.mean() == second.mean()
         third = sample_shots(alpha_f, math.pi / 2, 5000, seed=988)
-        assert not np.array_equal(first.samples, third.samples)
+        assert not np.array_equal(first, third)
 
     def test_zero_field_mean(self):
-        run = sample_shots(0.0 + 0.0j, 0.3, 1_000_000, seed=5)
-        assert abs(run.sample_mean) <= 5 * 0.5 / math.sqrt(1_000_000)
+        samples = sample_shots(0.0 + 0.0j, 0.3, 1_000_000, seed=5)
+        assert abs(samples.mean()) <= 5 * 0.5 / math.sqrt(1_000_000)
 
     def test_single_shot(self):
-        run = sample_shots(1.0 + 0j, 0.0, 1, seed=6)
-        assert run.sample_mean == run.samples[0]
-        assert run.sample_std == 0.0
+        samples = sample_shots(1.0 + 0j, 0.0, 1, seed=6)
+        assert samples.mean() == samples[0]
 
     def test_mean_tracks_exact_statistics(self):
         params = reference_params()
         fields = propagate_mzi(params)
-        run = sample_shots(fields.alpha_f, math.pi / 2, 10_000, seed=2024)
+        samples = sample_shots(fields.alpha_f, math.pi / 2, 10_000, seed=2024)
         expected = quadrature_stats_exact(params).mean
-        assert abs(run.sample_mean - expected) <= 5 * 0.5 / math.sqrt(10_000)
+        assert abs(samples.mean() - expected) <= 5 * 0.5 / math.sqrt(10_000)
 
     def test_samples_are_mean_plus_half_standard_normal(self):
         # The shot-noise model, bit for bit: the quadrature mean plus 1/2 times
@@ -77,11 +75,11 @@ class TestSampling:
         for xi, m, seed in ((math.pi / 2, 1, 0), (0.3, 257, 11), (-2.0, 10_000, 2**40)):
             normals = np.random.default_rng(seed).standard_normal(m)
             expected = quadrature_mean(alpha_f, xi) + 0.5 * normals
-            assert np.array_equal(sample_shots(alpha_f, xi, m, seed).samples, expected)
+            assert np.array_equal(sample_shots(alpha_f, xi, m, seed), expected)
 
     def test_metadata(self):
-        run = sample_shots(1.0 + 0j, 0.0, 10, seed=1)
-        assert run.m == 10 and run.seed == 1
+        samples = sample_shots(1.0 + 0j, 0.0, 10, seed=1)
+        assert samples.shape == (10,)
 
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
@@ -125,22 +123,20 @@ class TestEstimator:
     def test_noiseless_round_trip(self):
         params = reference_params()
         amp = chi_tilde_exact(params)
-        exact_mean = quadrature_stats_exact(params).mean
-        run = ShotRun(m=1, seed=0, samples=np.array([exact_mean]))
-        estimate = estimate_chi_from_run(run, amp.alpha_f_mag, NEAR_DARK)
+        samples = np.array([quadrature_stats_exact(params).mean])
+        estimate = estimate_chi_from_run(samples, amp.alpha_f_mag, NEAR_DARK)
         assert not estimate.clamped
         assert abs(estimate.chi_hat - 1e-2) < 1e-10
 
     def test_clamps_noisy_excursion(self):
-        run = ShotRun(m=1, seed=0, samples=np.array([1.02]))
-        estimate = estimate_chi_from_run(run, 1.0, NEAR_DARK)
+        estimate = estimate_chi_from_run(np.array([1.02]), 1.0, NEAR_DARK)
         assert estimate.clamped
         assert math.isclose(estimate.chi_tilde_hat, math.pi / 2, rel_tol=1e-12)
 
     def test_rejects_zero_amplitude(self):
-        run = sample_shots(0.0 + 0j, 0.0, 10, seed=3)
+        samples = sample_shots(0.0 + 0j, 0.0, 10, seed=3)
         with pytest.raises(ZeroAmplitude):
-            estimate_chi_from_run(run, 0.0, NEAR_DARK)
+            estimate_chi_from_run(samples, 0.0, NEAR_DARK)
 
     def test_readme_library_example(self):
         # The README's "Library use" block runs as written and prints the
@@ -165,8 +161,8 @@ class TestEstimator:
         seeds = np.random.SeedSequence(424242).generate_state(200)
         hats = []
         for seed in seeds:
-            run = sample_shots(fields.alpha_f, math.pi / 2, m, int(seed))
-            estimate = estimate_chi_from_run(run, amp.alpha_f_mag, NEAR_DARK)
+            samples = sample_shots(fields.alpha_f, math.pi / 2, m, int(seed))
+            estimate = estimate_chi_from_run(samples, amp.alpha_f_mag, NEAR_DARK)
             assert not estimate.clamped
             hats.append(estimate.chi_hat)
         hats = np.array(hats)
@@ -205,7 +201,7 @@ class TestCentralLimit:
         seeds = np.random.SeedSequence(20240814 + m).generate_state(500)
         means = np.array(
             [
-                sample_shots(fields.alpha_f, math.pi / 2, m, int(seed)).sample_mean
+                sample_shots(fields.alpha_f, math.pi / 2, m, int(seed)).mean()
                 for seed in seeds
             ]
         )
@@ -219,7 +215,7 @@ class TestCentralLimit:
         seeds = np.random.SeedSequence(99).generate_state(500)
         means = np.array(
             [
-                sample_shots(fields.alpha_f, math.pi / 2, m, int(seed)).sample_mean
+                sample_shots(fields.alpha_f, math.pi / 2, m, int(seed)).mean()
                 for seed in seeds
             ]
         )

@@ -72,6 +72,8 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "balanced": BALANCED,
         "balanced_fig4": {**BALANCED, "n_values": [BALANCED["mzi"]["n_photons"]]},
         "strong_lo": STRONG_LO,
+        "no_photons": {"mzi": {"n_photons": 0}},
+        "dark_zero_phase": {"mzi": {"theta2": DARK, "chi": 0.0}},
     }
     for name, mzi in POINTS.items():
         objects[name] = {"mzi": mzi}
@@ -116,6 +118,8 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("fig3 shots.runs 2", ["fig3", "--config", f["runs_2"]]),
         ("fig3 descending m grid", ["fig3", "--seed", "7", "--scan", "m", "10000", "1", "3"]),
         ("fig3 past dark point, gamma 0.05", ["fig3", "--config", f["past"], "--seed", "7"]),
+        ("fig3 no photons", ["fig3", "--config", f["no_photons"], "--seed", "1"]),
+        ("fig3 dark point, chi 0", ["fig3", "--config", f["dark_zero_phase"], "--seed", "1"]),
         ("fig2 --out directory", ["fig2", "--out", f["directory"]]),
         ("fig2 --out missing directory", ["fig2", "--out", f["directory"] + "/missing/x.csv"]),
         ("single --out directory", below + ["--out", f["directory"]]),
