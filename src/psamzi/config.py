@@ -66,22 +66,17 @@ class RunConfig:
     chi_values: list[float] | None = None
     n_values: list[float] | None = None
 
-    def mzi_params(
-        self,
-        theta2: float | None = None,
-        chi: float | None = None,
-        n_photons: float | None = None,
-    ) -> MziParams:
-        """Build interferometer parameters, overriding individual knobs."""
+    def mzi_params(self, theta2: float | None = None,
+                   chi: float | None = None) -> MziParams:
+        """Build interferometer parameters, overriding theta2 or chi."""
         use_theta2 = self.theta2 if theta2 is None else theta2
         use_chi = self.chi if chi is None else chi
         if use_theta2 is None:
             raise ConfigError("mzi.theta2 is required for this run")
         if use_chi is None:
             raise ConfigError("mzi.chi is required for this run")
-        n = self.n_photons if n_photons is None else n_photons
         return _build(MziParams, theta2=use_theta2, chi=use_chi, gamma=self.gamma,
-                      alpha=coherent_amplitude(n, self.input_phase))
+                      alpha=coherent_amplitude(self.n_photons, self.input_phase))
 
 
 def _build(cls, **values):

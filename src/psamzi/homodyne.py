@@ -57,18 +57,25 @@ def phase_slope(amp: AmplifiedPhase) -> float:
     return amp.alpha_f_mag * abs(math.cos(amp.chi_tilde))
 
 
+def phase_sensitivity(amp: AmplifiedPhase, std: float) -> float:
+    """chi_tilde over its error-propagated uncertainty std / phase_slope(amp).
+
+    ``std`` is the spread of the readout the phase is inferred from.
+    """
+    return amp.chi_tilde * phase_slope(amp) / std
+
+
 def _one_shot_stats(amp: AmplifiedPhase, sign: float = 1.0) -> QuadratureStats:
     """Statistics of one readout with mean sign * |alpha_f| * sin(chi_tilde).
 
-    The sensitivity follows from error propagation with the 1/2 shot
-    fluctuation: chi_tilde * phase_slope(amp) / QUADRATURE_STD.
+    The sensitivity uses the 1/2 shot fluctuation, QUADRATURE_STD.
     """
     mean = math.copysign(amp.alpha_f_mag, sign) * math.sin(amp.chi_tilde)
     return QuadratureStats(
         mean=mean,
         std_dev=QUADRATURE_STD,
         snr=mean / QUADRATURE_STD,
-        sensitivity=amp.chi_tilde * phase_slope(amp) / QUADRATURE_STD,
+        sensitivity=phase_sensitivity(amp, QUADRATURE_STD),
     )
 
 

@@ -16,13 +16,9 @@ from typing import Callable
 from .amplification import (aav_phase, chi_tilde_aav, chi_tilde_exact, exact_phase,
                             postselection_overlap, weak_value)
 from .config import RunConfig, config_hash, linspace, strictly_monotone
-from .errors import (
-    ConfigError,
-    DarkPointSingularity,
-    ZeroAmplitude,
-    ZeroSignal,
-)
-from .homodyne import LoConfig, phase_slope, quadrature_mean, quadrature_stats_exact
+from .errors import ConfigError, DarkPointSingularity, ZeroAmplitude, ZeroSignal
+from .homodyne import (LoConfig, phase_sensitivity, quadrature_mean,
+                       quadrature_stats_exact)
 from .optics import (coherent_amplitude, intensity_difference, port_amplitudes,
                      propagate_mzi)
 from .saturation import DetectorParams, error_ratio_fields
@@ -36,6 +32,8 @@ DEFAULT_THETA2_GRID_POINTS = 200
 DEFAULT_CHI_VALUES = [1e-4, 1e-2]
 DEFAULT_N_VALUES = [100.0, 500.0, 1000.0, 2000.0]
 DEFAULT_M_GRID = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000]
+# Largest fig3 shot count: one batch of 10**7 float64 shots is 80 MB.
+MAX_SHOTS = 10**7
 
 # Caption-style working point used when fig3 parameters are not configured.
 FIG3_DEFAULT_THETA2 = math.pi / 4 - 0.003
@@ -50,11 +48,12 @@ _SENTINEL_ERRORS = (DarkPointSingularity, ZeroAmplitude, ZeroSignal)
 
 @dataclass
 class Table:
-    """Ordered scan output with provenance metadata."""
+    """Ordered scan output with its provenance: the config hash and the seed."""
 
     columns: list[str]
     rows: list[list[object]]
-    meta: dict[str, object]
+    config_sha256: str
+    seed: int | None = None
     sentinel_rows: int = 0
 
     @property
@@ -78,6 +77,18 @@ def _config_sha256(config: RunConfig, figure: str, **resolved: object) -> str:
     return config_hash({**shared, **resolved})
 
 
+def _scan_grid(config: RunConfig, figure: str, variable: str,
+               default: list[float]) -> list[float]:
+    """The run's scan grid over ``variable``, or ``default`` when it sets no scan."""
+    if config.scan is None:
+        return default
+    if config.scan.variable != variable:
+        raise ConfigError(
+            f"{figure} scans {variable}, got scan variable {config.scan.variable!r}"
+        )
+    return list(config.scan.grid)
+
+
 def _theta2_scan(
     config: RunConfig,
     figure: str,
@@ -93,14 +104,7 @@ def _theta2_scan(
     and a point that raises a sentinel error gets NA in them instead.  Each
     grid angle passes MziParams' range rule before any point.
     """
-    if config.scan is None:
-        grid = default_theta2_grid()
-    elif config.scan.variable != "theta2":
-        raise ConfigError(
-            f"this figure scans theta2, got scan variable {config.scan.variable!r}"
-        )
-    else:
-        grid = list(config.scan.grid)
+    grid = _scan_grid(config, figure, "theta2", default_theta2_grid())
     for theta2 in grid:
         config.mzi_params(theta2=theta2, chi=0.0)
     theta2_first = columns[0] == "theta2"
@@ -117,12 +121,7 @@ def _theta2_scan(
             keys = [theta2, block] if theta2_first else [block, theta2]
             rows.append(keys + cells)
     sha = _config_sha256(config, figure, theta2_grid=grid, **resolved)
-    return Table(
-        columns=columns,
-        rows=rows,
-        meta={"config_sha256": sha, "seed": None},
-        sentinel_rows=sentinels,
-    )
+    return Table(columns, rows, sha, sentinel_rows=sentinels)
 
 
 def run_fig2(config: RunConfig, workers: int = 1) -> Table:
@@ -166,19 +165,14 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     """
     import numpy as np
 
-    if config.scan is None:
-        m_grid = list(DEFAULT_M_GRID)
-    elif config.scan.variable != "m":
-        raise ConfigError(f"fig3 scans m, got scan variable {config.scan.variable!r}")
-    else:
-        m_grid = [int(round(x)) for x in config.scan.grid]
-        if any(m < 1 for m in m_grid):
-            raise ConfigError("fig3 m grid entries must be >= 1")
-        if not strictly_monotone(m_grid):
-            raise ConfigError(
-                f"fig3 m grid must stay strictly monotone after rounding to "
-                f"integers, got {m_grid}"
-            )
+    m_grid = [int(round(x)) for x in _scan_grid(config, "fig3", "m", DEFAULT_M_GRID)]
+    if not all(1 <= m <= MAX_SHOTS for m in m_grid):
+        raise ConfigError(f"fig3 m grid entries must lie in [1, {MAX_SHOTS}]")
+    if not strictly_monotone(m_grid):
+        raise ConfigError(
+            f"fig3 m grid must stay strictly monotone after rounding to "
+            f"integers, got {m_grid}"
+        )
     if config.shots.seed is None:
         raise ConfigError("fig3 needs a seed (shots.seed or --seed) for the "
                           "Monte-Carlo column")
@@ -197,7 +191,6 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     else:
         amp = chi_tilde_exact(params)
         mean = quadrature_mean(propagate_mzi(params).alpha_f, lo.effective_phase)
-        slope = phase_slope(amp)
         rows = []
         sentinels = 0
         for index, point in enumerate(uncertainty_vs_m(params, m_grid)):
@@ -209,7 +202,7 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
             rows.append([
                 point.m,
                 averaged_stats(point.m, stats).sensitivity,
-                amp.chi_tilde * slope / std_mc if std_mc > 0 else None,
+                phase_sensitivity(amp, std_mc) if std_mc > 0 else None,
                 point.chi_tilde,
                 point.lower,
                 point.upper,
@@ -230,7 +223,8 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
         columns=["m", "sensitivity", "sensitivity_mc", "chi_tilde", "chi_tilde_lower",
                  "chi_tilde_upper"],
         rows=rows,
-        meta={"config_sha256": sha, "seed": seed},
+        config_sha256=sha,
+        seed=seed,
         sentinel_rows=sentinels,
     )
 
@@ -312,7 +306,7 @@ def run_single(config: RunConfig) -> dict:
         wv = weak_value(params.theta2, params.gamma)
         record["chi_tilde_aav"] = chi_tilde_aav(params).chi_tilde
         record["weak_value"] = wv.a_w.real
-    except DarkPointSingularity:
+    except _SENTINEL_ERRORS:
         record["chi_tilde_aav"] = None
         record["weak_value"] = None
 
@@ -322,7 +316,7 @@ def run_single(config: RunConfig) -> dict:
         record["chi_tilde_exact"] = exact.chi_tilde
         record["snr"] = stats.snr
         record["sensitivity"] = stats.sensitivity
-    except ZeroAmplitude:
+    except _SENTINEL_ERRORS:
         record["chi_tilde_exact"] = None
         record["snr"] = None
         record["sensitivity"] = None
@@ -348,10 +342,9 @@ def _format_value(value: object, spec: str) -> str:
 
 def render_csv(table: Table, precision: int) -> str:
     """Fixed-precision CSV with a provenance comment line above the header."""
-    seed = table.meta.get("seed")
+    seed = "none" if table.seed is None else table.seed
     lines = [
-        f"# config_sha256={table.meta['config_sha256']} "
-        f"seed={'none' if seed is None else seed}",
+        f"# config_sha256={table.config_sha256} seed={seed}",
         ",".join(table.columns),
     ]
     spec = f".{precision}e"
@@ -371,8 +364,8 @@ def render_table_json(table: Table, precision: int) -> str:
     splitting there leaves the output the only large string built after it.
     """
     text = render_record_json({
-        "config_sha256": table.meta["config_sha256"],
-        "seed": table.meta.get("seed"),
+        "config_sha256": table.config_sha256,
+        "seed": table.seed,
         "columns": table.columns,
         "rows": [],
     })

@@ -32,24 +32,13 @@ from psamzi import (
 from psamzi.cli import main
 from psamzi.runner import DEFAULT_N_VALUES, default_theta2_grid
 
+from oracles import matrix_oracle
+
 NEAR_DARK = math.pi / 4 - 0.003
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"acceptance {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def port_amplitude_oracle(theta2, gamma, chi, alpha):
-    """Independent 2x2 matrix propagation of the amplitude pair, 50:50 splitter first."""
-
-    def splitter(theta):
-        c, s = math.cos(theta), math.sin(theta)
-        return np.array([[c, -1j * s], [-1j * s, c]])
-
-    v = splitter(math.pi / 4) @ np.array([alpha, 0.0], dtype=complex)
-    v = np.array([v[0] * cmath.exp(1j * chi), v[1] * cmath.exp(1j * gamma)])
-    v = splitter(theta2) @ v
-    return complex(v[0])
 
 
 def test_criterion_01_dark_port_exactness():
@@ -85,7 +74,7 @@ def test_criterion_03_amplification_anchor():
     amp = chi_tilde_exact(params)
     ratio = amp.chi_tilde / 1e-2
     oracle = wrap_angle(
-        cmath.phase(port_amplitude_oracle(NEAR_DARK, 0.0, 1e-2, 10.0))
+        cmath.phase(matrix_oracle(NEAR_DARK, 0.0, 1e-2, 10.0)[0])
     )
     oracle_gap = abs(amp.chi_tilde - oracle)
     ok = 95 <= ratio <= 110 and oracle_gap < 1e-10

@@ -17,20 +17,9 @@ from psamzi import (
     wrap_angle,
 )
 
+from oracles import matrix_oracle
+
 SQ2 = math.sqrt(2.0)
-
-
-def matrix_oracle(theta2, gamma, chi, alpha):
-    """Independent propagation: sequential 2x2 matrix products on the pair."""
-
-    def splitter(theta):
-        c, s = math.cos(theta), math.sin(theta)
-        return np.array([[c, -1j * s], [-1j * s, c]])
-
-    v = splitter(math.pi / 4) @ np.array([alpha, 0.0], dtype=complex)
-    v = np.array([v[0] * cmath.exp(1j * chi), v[1] * cmath.exp(1j * gamma)])
-    v = splitter(theta2) @ v
-    return complex(v[0]), complex(v[1])
 
 
 class TestBeamSplitter:

@@ -15,11 +15,13 @@ from psamzi import (
     ConfigError,
     DarkPointSingularity,
     LoConfig,
+    MziParams,
     ZeroAmplitude,
     ZeroSignal,
     averaged_stats,
     chi_tilde_aav,
     chi_tilde_exact,
+    coherent_amplitude,
     error_ratio,
     propagate_mzi,
     quadrature_mean,
@@ -289,7 +291,7 @@ class TestFig2:
 
     def test_rejects_wrong_scan_variable(self):
         config = load_config(None, scan=ScanSpec("m", [1.0, 2.0]))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^fig2 scans theta2, got scan variable 'm'$"):
             run_fig2(config)
 
     def test_default_grid_avoids_singularity(self):
@@ -372,8 +374,23 @@ class TestFig3:
 
     def test_rejects_wrong_scan_variable(self):
         config = load_config(None, scan=ScanSpec("theta2", [0.1, 0.2]), seed=1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^fig3 scans m, got scan variable 'theta2'$"):
             run_fig3(config)
+
+    @pytest.mark.parametrize("big", [1e12, 1e300])
+    def test_rejects_m_too_large_to_draw(self, tmp_path, monkeypatch, capsys, big):
+        # The cap holds before any batch is drawn or allocated.
+        def no_draws(*args):
+            raise AssertionError("fig3 drew shots for an m grid past MAX_SHOTS")
+
+        monkeypatch.setattr("psamzi.runner.draw_shots", no_draws)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scan": {"variable": "m", "grid": [1, big]}}))
+        with pytest.raises(ConfigError, match=r"must lie in \[1, 10000000\]"):
+            run_fig3(load_config(path, seed=1))
+        assert main(["fig3", "--seed", "1", "--scan", "m", "1", repr(big), "2"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: fig3 m grid entries must lie in [1, 10000000]\n")
 
     def test_rejects_m_grid_that_rounds_to_duplicates(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -401,6 +418,11 @@ class TestFig4:
     def test_missing_detector(self):
         config = load_config(None, scan=ScanSpec("theta2", [0.1, 0.2]))
         with pytest.raises(ConfigError):
+            run_fig4(config)
+
+    def test_rejects_wrong_scan_variable(self, fig4_config):
+        config = load_config(fig4_config, scan=ScanSpec("m", [1.0, 2.0]))
+        with pytest.raises(ConfigError, match="^fig4 scans theta2, got scan variable 'm'$"):
             run_fig4(config)
 
     def test_dark_point_sentinel(self, tmp_path):
@@ -689,7 +711,7 @@ def test_render_csv_sentinel_token():
     table = Table(
         columns=["a", "b"],
         rows=[[1.0, None]],
-        meta={"config_sha256": "deadbeef", "seed": None},
+        config_sha256="deadbeef",
         sentinel_rows=1,
     )
     text = render_csv(table, 3)
@@ -708,14 +730,14 @@ def _config(tmp_path, raw, grid=None):
 
 
 def _reference_json(table):
-    doc = {"config_sha256": table.meta["config_sha256"], "seed": table.meta["seed"],
+    doc = {"config_sha256": table.config_sha256, "seed": table.seed,
            "columns": table.columns, "rows": table.rows}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _reference_csv(table, precision):
-    seed = table.meta["seed"]
-    lines = [f"# config_sha256={table.meta['config_sha256']} "
+    seed = table.seed
+    lines = [f"# config_sha256={table.config_sha256} "
              f"seed={'none' if seed is None else seed}", ",".join(table.columns)]
     for row in table.rows:
         cells = []
@@ -740,8 +762,7 @@ def _tables(tmp_path):
         tables[f"fig4 {name}"] = run_fig4(config)
     fig3 = _config(tmp_path, {**raw, "scan": {"variable": "m", "grid": [1, 10, 100]}})
     tables["fig3"] = run_fig3(fig3)
-    tables["no rows"] = Table(columns=["a", "b"], rows=[],
-                              meta={"config_sha256": "0" * 64, "seed": None})
+    tables["no rows"] = Table(columns=["a", "b"], rows=[], config_sha256="0" * 64)
     return tables
 
 
@@ -770,7 +791,8 @@ _SENTINELS = (DarkPointSingularity, ZeroAmplitude, ZeroSignal)
 def _fig4_record(config, theta2, n_photons):
     try:
         weak_value(theta2, config.gamma)
-        params = config.mzi_params(theta2=theta2, n_photons=n_photons)
+        params = MziParams(theta2=theta2, chi=config.chi, gamma=config.gamma,
+                           alpha=coherent_amplitude(n_photons, config.input_phase))
         report = error_ratio(params, config.lo, config.detector)
     except _SENTINELS:
         return None

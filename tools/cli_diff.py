@@ -151,6 +151,8 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("fig2 grid past pi/2", ["fig2", "--scan", "theta2", "1.5", "1.7", "5"]),
         ("fig4 grid past pi/2",
          ["fig4", "--config", f["det"], "--scan", "theta2", "1.5", "1.7", "5"]),
+        ("fig2 scan over m", ["fig2", "--scan", "m", "1", "2", "2"]),
+        ("fig3 m grid to 1e300", ["fig3", "--seed", "1", "--scan", "m", "1", "1e300", "2"]),
     ]
     return out
 
