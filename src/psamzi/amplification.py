@@ -70,26 +70,35 @@ def postselection_overlap(
     return c1, c2, overlap
 
 
-def aav_phase(a_w_real: float, chi: float) -> float:
-    """Wrapped small-coupling phase Re(a_w) * chi; ``chi_tilde_aav`` wraps it."""
-    return wrap_angle(a_w_real * chi)
+def aav_phase(a_w_reals: list[float | None], chi: float) -> list[float | None]:
+    """Wrapped small-coupling phases Re(a_w) * chi, None where a_w is.
 
-
-def exact_phase(unit: complex, alpha_mag: float, theta2: float, chi: float,
-                gamma: float) -> tuple[float, float]:
-    """(chi_tilde, |alpha_f|) from a unit port amplitude; ``chi_tilde_exact`` wraps them.
-
-    Raises ZeroAmplitude, naming the point by theta2, chi and gamma.
+    ``chi_tilde_aav`` calls it with one weak value.
     """
-    mag = alpha_mag / math.sqrt(2.0) * abs(unit)
-    # At the float dark point rounding leaves |unit| near 1e-16, which a large
-    # N would lift above the threshold; the phase of that residue is noise.
-    if min(mag, abs(unit)) < ZERO_AMPLITUDE_TOL:
-        raise ZeroAmplitude(
-            f"postselected amplitude vanishes at theta2={theta2}, "
-            f"chi={chi}, gamma={gamma}"
-        )
-    return wrap_angle(cmath.phase(unit)), mag
+    return [None if a_w is None else wrap_angle(a_w * chi) for a_w in a_w_reals]
+
+
+def exact_phase(units: list[complex],
+                alpha_mags: list[float]) -> tuple[list[float], list[list[float | None]]]:
+    """Amplified phases of unit port amplitudes, and |alpha_f| over them per |alpha|.
+
+    Returns chi_tilde = arg(unit) wrapped to (-pi, pi] for each unit, and for
+    each |alpha| a list of |alpha_f| = |alpha| / sqrt(2) * |unit|, with None
+    where the amplitude vanishes and its phase is undefined.  Each unit's
+    modulus and phase are formed once for every |alpha|.
+    ``chi_tilde_exact`` calls it with one unit and one |alpha|.
+    """
+    moduli = [abs(unit) for unit in units]
+    phases = [wrap_angle(cmath.phase(unit)) for unit in units]
+    mags = []
+    for alpha_mag in alpha_mags:
+        scale = alpha_mag / math.sqrt(2.0)
+        # At the float dark point rounding leaves |unit| near 1e-16, which a
+        # large N would lift above the threshold; the phase of that residue
+        # is noise.
+        mags.append([None if min(mag := scale * modulus, modulus) < ZERO_AMPLITUDE_TOL
+                     else mag for modulus in moduli])
+    return phases, mags
 
 
 def weak_value(theta2: float, gamma: float = 0.0) -> WeakValue:
@@ -110,7 +119,7 @@ def chi_tilde_aav(params: MziParams) -> AmplifiedPhase:
     wv = weak_value(params.theta2, params.gamma)
     warn = abs(wv.a_w.imag * chi) > IMAG_WARNING_RATIO * abs(wv.a_w.real * chi)
     return AmplifiedPhase(
-        chi_tilde=aav_phase(wv.a_w.real, chi),
+        chi_tilde=aav_phase([wv.a_w.real], chi)[0],
         alpha_f_mag=abs(wv.overlap) * abs(params.alpha),
         imag_warning=warn,
     )
@@ -125,9 +134,14 @@ def chi_tilde_exact(params: MziParams) -> AmplifiedPhase:
     phase is undefined.
     """
     theta2, chi, gamma = params.theta2, params.chi, params.gamma
-    unit = port_amplitudes(theta2, chi, gamma)[0]
-    chi_tilde, mag = exact_phase(unit, abs(params.alpha), theta2, chi, gamma)
-    return AmplifiedPhase(chi_tilde=chi_tilde, alpha_f_mag=mag)
+    phases, mags = exact_phase(port_amplitudes([theta2], [chi], gamma)[0],
+                               [abs(params.alpha)])
+    if mags[0][0] is None:
+        raise ZeroAmplitude(
+            f"postselected amplitude vanishes at theta2={theta2}, "
+            f"chi={chi}, gamma={gamma}"
+        )
+    return AmplifiedPhase(chi_tilde=phases[0], alpha_f_mag=mags[0][0])
 
 
 def invert_chi_branches(

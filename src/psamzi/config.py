@@ -11,7 +11,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .homodyne import LoConfig
 from .optics import MziParams, coherent_amplitude
-from .saturation import DetectorParams
+from .saturation import DetectorParams, check_lo_strength
 
 # theta2 for fig2 and fig4, the shot count m for fig3.
 SCAN_VARIABLES = ("theta2", "m")
@@ -80,7 +80,10 @@ class RunConfig:
 
 
 def _build(cls, **values):
-    """``cls(**values)``, with the ValueError of its own checks as a ConfigError."""
+    """``cls(**values)``, with the ValueError of its own checks as a ConfigError.
+
+    ``cls`` is a class, or a check that returns nothing.
+    """
     try:
         return cls(**values)
     except ValueError as exc:
@@ -262,6 +265,10 @@ def load_config(
         config.n_values = _number_list(raw["n_values"], "n_values")
         if any(v < 0 for v in config.n_values):
             raise ConfigError("n_values must be >= 0")
+    if config.detector is not None:
+        n_max = max([config.n_photons, *(config.n_values or [])])
+        _build(check_lo_strength, beta_mag=lo.beta_mag,
+               alpha_mag=abs(coherent_amplitude(n_max, config.input_phase)))
 
     # CLI overrides win over the file.
     if scan is not None:

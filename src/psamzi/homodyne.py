@@ -47,9 +47,15 @@ class QuadratureStats:
     sensitivity: float
 
 
+def quadrature_means(alpha_fs: list[complex], xi: float) -> list[float]:
+    """Mean homodyne outcome Re(alpha_f * exp(-i*xi)) of each port field."""
+    lo_conj = cmath.exp(-1j * xi)
+    return [(alpha_f * lo_conj).real for alpha_f in alpha_fs]
+
+
 def quadrature_mean(alpha_f: complex, xi: float) -> float:
     """Mean homodyne outcome Re(alpha_f * exp(-i*xi))."""
-    return (alpha_f * cmath.exp(-1j * xi)).real
+    return quadrature_means([alpha_f], xi)[0]
 
 
 def phase_slope(amp: AmplifiedPhase) -> float:

@@ -30,6 +30,11 @@ def coherent_amplitude(n_photons: float, phase: float = 0.0) -> complex:
     return cmath.rect(math.sqrt(n_photons), phase)
 
 
+def theta2_in_range(theta2: float) -> bool:
+    """The second splitter's range rule, 0 <= theta2 <= pi/2."""
+    return 0.0 <= theta2 <= math.pi / 2
+
+
 @dataclass
 class MziParams:
     """All knobs of a single pass through the interferometer.
@@ -46,7 +51,7 @@ class MziParams:
     gamma: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta2 <= math.pi / 2:
+        if not theta2_in_range(self.theta2):
             raise ValueError(f"theta2 must lie in [0, pi/2], got {self.theta2}")
         if not all(map(cmath.isfinite, (self.chi, self.gamma, self.alpha))):
             raise ValueError(f"chi, gamma and alpha must be finite, got chi={self.chi}, "
@@ -102,29 +107,33 @@ def phase_shift(a: complex, phi: float) -> complex:
     return a * cmath.exp(1j * phi)
 
 
-def port_amplitudes(theta2: float, chi: float, gamma: float) -> tuple[complex, complex]:
-    """Closed-form port amplitudes behind a balanced first splitter, unit scale.
+def port_amplitudes(grid: list[float], chis: list[float],
+                    gamma: float) -> list[list[complex]]:
+    """Closed-form postselected-port amplitudes behind a balanced first splitter.
 
-    Returns (e^{i chi} cos(theta2) - e^{i gamma} sin(theta2),
-    e^{i chi} sin(theta2) + e^{i gamma} cos(theta2)); the port fields are
-    alpha / sqrt(2) and -i * alpha / sqrt(2) times these.  ``propagate_mzi``
-    wraps it in a ``PortFields`` record.
+    One list per chi, over the theta2 grid, of the unit-scale amplitude
+    e^{i chi} cos(theta2) - e^{i gamma} sin(theta2); the port field is
+    alpha / sqrt(2) times it.  Each angle's terms are formed once for every
+    chi.  ``propagate_mzi`` calls it with a one-angle, one-chi grid.
     """
-    arm1 = cmath.exp(1j * chi)
     arm2 = cmath.exp(1j * gamma)
-    c2 = math.cos(theta2)
-    s2 = math.sin(theta2)
-    return arm1 * c2 - arm2 * s2, arm1 * s2 + arm2 * c2
+    terms = [(math.cos(theta2), arm2 * math.sin(theta2)) for theta2 in grid]
+    return [[arm1 * c2 - arm2_s2 for c2, arm2_s2 in terms]
+            for arm1 in [cmath.exp(1j * chi) for chi in chis]]
 
 
 def propagate_mzi(params: MziParams) -> PortFields:
     """Propagate the input state through both splitters and the arm phases.
 
-    The port fields are the closed-form ``port_amplitudes`` scaled by the
-    input amplitude.
+    The port fields are alpha / sqrt(2) times the unit amplitudes: the
+    postselected one from ``port_amplitudes`` and its complement
+    -i (e^{i chi} sin(theta2) + e^{i gamma} cos(theta2)).
     """
+    theta2, chi, gamma = params.theta2, params.chi, params.gamma
     scale = params.alpha / math.sqrt(2.0)
-    unit_f, unit_fbar = port_amplitudes(params.theta2, params.chi, params.gamma)
+    unit_f = port_amplitudes([theta2], [chi], gamma)[0][0]
+    unit_fbar = (cmath.exp(1j * chi) * math.sin(theta2)
+                 + cmath.exp(1j * gamma) * math.cos(theta2))
     return PortFields(alpha_f=scale * unit_f, alpha_fbar=-1j * scale * unit_fbar)
 
 

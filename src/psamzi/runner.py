@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 from .amplification import (aav_phase, chi_tilde_aav, chi_tilde_exact, exact_phase,
                             postselection_overlap, weak_value)
@@ -20,7 +20,7 @@ from .errors import ConfigError, DarkPointSingularity, ZeroAmplitude, ZeroSignal
 from .homodyne import (LoConfig, phase_sensitivity, quadrature_mean,
                        quadrature_stats_exact)
 from .optics import (coherent_amplitude, intensity_difference, port_amplitudes,
-                     propagate_mzi)
+                     propagate_mzi, theta2_in_range)
 from .saturation import DetectorParams, error_ratio_fields
 from .shots import averaged_stats, draw_shots, uncertainty_vs_m
 
@@ -89,37 +89,37 @@ def _scan_grid(config: RunConfig, figure: str, variable: str,
     return list(config.scan.grid)
 
 
-def _theta2_scan(
-    config: RunConfig,
-    figure: str,
-    columns: list[str],
-    blocks: list[float],
-    point: Callable[[float, float], list[object]],
-    **resolved: object,
-) -> Table:
-    """Evaluate ``point(block, theta2)`` for each block over the theta2 grid.
+def _theta2_grid(config: RunConfig, figure: str) -> list[float]:
+    """The run's theta2 grid, each angle checked by MziParams' range rule.
 
-    Rows come in (block, theta2) order.  The first two columns hold the block
-    value and theta2, in either order; ``point`` returns the remaining cells,
-    and a point that raises a sentinel error gets NA in them instead.  Each
-    grid angle passes MziParams' range rule before any point.
+    The working point is built once, at the first angle; the first angle out
+    of range, if any, raises that rule's ConfigError.
     """
     grid = _scan_grid(config, figure, "theta2", default_theta2_grid())
+    if grid:
+        config.mzi_params(theta2=grid[0], chi=0.0)
     for theta2 in grid:
-        config.mzi_params(theta2=theta2, chi=0.0)
-    theta2_first = columns[0] == "theta2"
-    nulls = [None] * (len(columns) - 2)
-    rows = []
-    sentinels = 0
-    for block in blocks:
-        for theta2 in grid:
-            try:
-                cells = point(block, theta2)
-            except _SENTINEL_ERRORS:
-                cells = nulls
-                sentinels += 1
-            keys = [theta2, block] if theta2_first else [block, theta2]
-            rows.append(keys + cells)
+        if not theta2_in_range(theta2):
+            config.mzi_params(theta2=theta2, chi=0.0)
+    return grid
+
+
+def _unless_dark(grid: list[float], term: Callable[[float], object]) -> list:
+    """``term(theta2)`` at each angle, None where the postselection is dark."""
+    values = []
+    for theta2 in grid:
+        try:
+            values.append(term(theta2))
+        except DarkPointSingularity:
+            values.append(None)
+    return values
+
+
+def _theta2_table(config: RunConfig, figure: str, columns: list[str],
+                  rows: list[list[object]], grid: list[float],
+                  **resolved: object) -> Table:
+    """The scan's Table; a row whose third cell is NA is a sentinel row."""
+    sentinels = sum(row[2] is None for row in rows)
     sha = _config_sha256(config, figure, theta2_grid=grid, **resolved)
     return Table(columns, rows, sha, sentinel_rows=sentinels)
 
@@ -128,26 +128,31 @@ def run_fig2(config: RunConfig, workers: int = 1) -> Table:
     """Amplified-phase ramp versus the postselection angle.
 
     One row per (chi, theta2) pair with both the small-coupling and the exact
-    amplified phase, the weak value, and the postselected intensity.
+    amplified phase, the weak value, and the postselected intensity; NA in
+    all four where the postselection is dark or the amplitude vanishes.
     ``workers`` is accepted for compatibility and has no effect.
     """
     chi_values = config.chi_values or list(DEFAULT_CHI_VALUES)
     gamma = config.gamma
     alpha_mag = abs(coherent_amplitude(config.n_photons, config.input_phase))
-
-    def point(chi: float, theta2: float) -> list[object]:
-        a_w = weak_value(theta2, gamma).a_w.real
-        unit = port_amplitudes(theta2, chi, gamma)[0]
-        chi_tilde, alpha_f_mag = exact_phase(unit, alpha_mag, theta2, chi, gamma)
-        return [aav_phase(a_w, chi), chi_tilde, a_w, alpha_f_mag**2]
-
-    return _theta2_scan(
+    grid = _theta2_grid(config, "fig2")
+    a_ws = _unless_dark(grid, lambda theta2: weak_value(theta2, gamma).a_w.real)
+    rows: list[list[object]] = []
+    for chi, units in zip(chi_values, port_amplitudes(grid, chi_values, gamma)):
+        phases, (mags,) = exact_phase(units, [alpha_mag])
+        for theta2, a_w, aav, chi_tilde, mag in zip(grid, a_ws, aav_phase(a_ws, chi),
+                                                    phases, mags):
+            if a_w is None or mag is None:
+                rows.append([chi, theta2, None, None, None, None])
+            else:
+                rows.append([chi, theta2, aav, chi_tilde, a_w, mag**2])
+    return _theta2_table(
         config,
         "fig2",
         ["chi", "theta2", "chi_tilde_aav", "chi_tilde_exact", "weak_value",
          "port_intensity"],
-        chi_values,
-        point,
+        rows,
+        grid,
         n_photons=config.n_photons,
         chi_values=chi_values,
     )
@@ -229,15 +234,17 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     )
 
 
-def _saturation(theta2: float, chi: float, gamma: float, alpha: complex,
-                lo: LoConfig, det: DetectorParams) -> tuple:
-    """``error_ratio_fields``, with exact dark postselection as a sentinel.
+def _saturation(grid: list[float], chi: float, gamma: float, alphas: list[complex],
+                lo: LoConfig, det: DetectorParams) -> Iterator[tuple | None]:
+    """``error_ratio_fields``, with exact dark postselection as a sentinel too.
 
     There the linear inversion is degenerate even when the port amplitude
-    itself is nonzero, so the overlap's DarkPointSingularity is raised.
+    itself is nonzero.
     """
-    postselection_overlap(theta2, gamma)
-    return error_ratio_fields(theta2, chi, gamma, alpha, lo, det)
+    overlaps = _unless_dark(grid, lambda theta2: postselection_overlap(theta2, gamma))
+    points = error_ratio_fields(grid, chi, gamma, alphas, lo, det)
+    return (None if overlap is None else fields
+            for overlap, fields in zip(overlaps * len(alphas), points))
 
 
 def run_fig4(config: RunConfig, workers: int = 1) -> Table:
@@ -251,18 +258,23 @@ def run_fig4(config: RunConfig, workers: int = 1) -> Table:
     chi = config.chi if config.chi is not None else FIG4_DEFAULT_CHI
     lo = config.lo
     det = config.detector
-    alphas = {n: coherent_amplitude(n, config.input_phase) for n in n_values}
-
-    def point(n_photons: float, theta2: float) -> list[object]:
-        fields = _saturation(theta2, chi, config.gamma, alphas[n_photons], lo, det)
-        return [fields[0], fields[1], fields[5]]
-
-    return _theta2_scan(
+    grid = _theta2_grid(config, "fig4")
+    alphas = [coherent_amplitude(n, config.input_phase) for n in n_values]
+    points = _saturation(grid, chi, config.gamma, alphas, lo, det)
+    rows: list[list[object]] = []
+    for n_photons in n_values:
+        # With grid first, zip takes exactly one block of points.
+        for theta2, fields in zip(grid, points):
+            if fields is None:
+                rows.append([theta2, n_photons, None, None, None])
+            else:
+                rows.append([theta2, n_photons, fields[0], fields[1], fields[5]])
+    return _theta2_table(
         config,
         "fig4",
         ["theta2", "n_photons", "n1", "n2", "eta_e"],
-        n_values,
-        point,
+        rows,
+        grid,
         chi=chi,
         lo=asdict(lo),
         detector=asdict(det),
@@ -322,13 +334,10 @@ def run_single(config: RunConfig) -> dict:
         record["sensitivity"] = None
 
     if config.detector is not None:
-        try:
-            fields = _saturation(params.theta2, params.chi, params.gamma,
-                                 params.alpha, lo, config.detector)
-            names = ["n1", "n2", "x_linear", "x_saturated", "chi_tilde_biased", "eta_e"]
-            record["saturation"] = dict(zip(names, fields))
-        except _SENTINEL_ERRORS:
-            record["saturation"] = None
+        fields = next(_saturation([params.theta2], params.chi, params.gamma,
+                                  [params.alpha], lo, config.detector))
+        names = ["n1", "n2", "x_linear", "x_saturated", "chi_tilde_biased", "eta_e"]
+        record["saturation"] = None if fields is None else dict(zip(names, fields))
     return record
 
 
@@ -348,8 +357,14 @@ def render_csv(table: Table, precision: int) -> str:
         ",".join(table.columns),
     ]
     spec = f".{precision}e"
+    # One %-template formats a row of floats as format(v, spec) does each cell.
+    template = ",".join(["%" + spec] * len(table.columns))
+    floats = {float}
     for row in table.rows:
-        lines.append(",".join([_format_value(v, spec) for v in row]))
+        if set(map(type, row)) == floats:
+            lines.append(template % tuple(row))
+        else:
+            lines.append(",".join([_format_value(v, spec) for v in row]))
     return "\n".join(lines) + "\n"
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .amplification import ZERO_AMPLITUDE_TOL, exact_phase
+from .amplification import ZERO_AMPLITUDE_TOL, chi_tilde_exact, exact_phase
 from .errors import ZeroAmplitude, ZeroSignal
-from .homodyne import LoConfig, quadrature_mean
+from .homodyne import LoConfig, quadrature_means
 from .optics import MziParams, port_amplitudes
 
 
@@ -54,6 +55,30 @@ def detector_current(n_photons: float, det: DetectorParams) -> float:
     return det.k_max * (1.0 - math.exp(-n_photons / det.n_sat))
 
 
+def check_lo_strength(beta_mag: float, alpha_mag: float) -> None:
+    """Raise ValueError where the detector counts of this LO and input overflow.
+
+    Both counts are below (beta_mag + sqrt(2) |alpha|)^2, because |alpha_f|
+    <= sqrt(2) |alpha|; that square must be a finite float.
+    """
+    bound = beta_mag + math.sqrt(2.0) * alpha_mag
+    if bound * bound == math.inf:
+        raise ValueError(
+            f"lo.beta_mag={beta_mag} overflows the detector counts: "
+            f"(beta_mag + sqrt(2) * |alpha|)**2 must be finite, got |alpha|={alpha_mag}"
+        )
+
+
+def _count_pairs(beta_mag: float, xi: float,
+                 alpha_fs: list[complex]) -> list[tuple[float, float]]:
+    """``detector_counts`` of each port field, with the LO phasor formed once."""
+    if beta_mag <= 0:
+        raise ValueError(f"LO amplitude must be positive, got {beta_mag}")
+    lo = cmath.rect(beta_mag, xi)
+    return [(abs(alpha_f + lo) ** 2 / 2, abs(alpha_f - lo) ** 2 / 2)
+            for alpha_f in alpha_fs]
+
+
 def detector_counts(
     beta_mag: float, xi: float, alpha_f: complex
 ) -> tuple[float, float]:
@@ -63,10 +88,18 @@ def detector_counts(
     so they cannot be negative.  They obey n1 + n2 = |beta|^2 + |alpha_f|^2 and
     (n1 - n2) / (2|beta|) = quadrature mean.
     """
-    if beta_mag <= 0:
-        raise ValueError(f"LO amplitude must be positive, got {beta_mag}")
-    lo = cmath.rect(beta_mag, xi)
-    return abs(alpha_f + lo) ** 2 / 2, abs(alpha_f - lo) ** 2 / 2
+    return _count_pairs(beta_mag, xi, [alpha_f])[0]
+
+
+def _current_differences(beta_mag: float, counts: list[tuple[float, float]],
+                         x_bars: list[float], det: DetectorParams) -> list[float]:
+    """``saturated_quadrature`` from each pair of counts and its quadrature mean."""
+    scale = det.k_max / (2.0 * beta_mag)
+    minus_two_beta = -2.0 * beta_mag
+    n_sat = det.n_sat
+    return [math.copysign(scale * math.exp(-min(n1, n2) / n_sat)
+                          * -math.expm1(minus_two_beta * abs(x_bar) / n_sat), x_bar)
+            for (n1, n2), x_bar in zip(counts, x_bars)]
 
 
 def saturated_quadrature(
@@ -81,18 +114,23 @@ def saturated_quadrature(
     overflows; reduces to (k_max / N_sat) * x_bar when both counts are far
     below N_sat.
     """
-    n1, n2 = detector_counts(beta_mag, xi, alpha_f)
-    return _current_difference(beta_mag, n1, n2, quadrature_mean(alpha_f, xi), det)
+    counts = _count_pairs(beta_mag, xi, [alpha_f])
+    return _current_differences(beta_mag, counts, quadrature_means([alpha_f], xi),
+                                det)[0]
 
 
-def _current_difference(beta_mag: float, n1: float, n2: float, x_bar: float,
-                        det: DetectorParams) -> float:
-    """``saturated_quadrature`` from the counts and the quadrature mean it uses."""
-    return math.copysign(
-        (det.k_max / (2.0 * beta_mag)) * math.exp(-min(n1, n2) / det.n_sat)
-        * -math.expm1(-2.0 * beta_mag * abs(x_bar) / det.n_sat),
-        x_bar,
-    )
+def _linear_inversions(x_measured: list[float], alpha_f_mags: list[float | None],
+                       det: DetectorParams) -> list[tuple[float, bool] | None]:
+    """``invert_phase_linear_model`` of each readout, None where |alpha_f| vanishes.
+
+    An |alpha_f| of None, a vanishing amplitude by ``exact_phase``'s rule, is
+    one too.
+    """
+    n_sat, k_max = det.n_sat, det.k_max
+    return [None if mag is None or mag <= ZERO_AMPLITUDE_TOL
+            else (math.asin(min(1.0, max(-1.0, arg := x * n_sat / (k_max * mag)))),
+                  abs(arg) > 1.0)
+            for x, mag in zip(x_measured, alpha_f_mags)]
 
 
 def invert_phase_linear_model(
@@ -103,28 +141,44 @@ def invert_phase_linear_model(
     Returns (arcsin(x_measured / (alpha_f_mag * k_max / N_sat)), clamped);
     the flag is set when the argument had to be clipped into [-1, 1].
     """
-    if alpha_f_mag <= ZERO_AMPLITUDE_TOL:
+    inversion = _linear_inversions([x_measured], [alpha_f_mag], det)[0]
+    if inversion is None:
         raise ZeroAmplitude("cannot invert the readout of a vanishing amplitude")
-    arg = x_measured * det.n_sat / (det.k_max * alpha_f_mag)
-    clamped = abs(arg) > 1.0
-    return math.asin(min(1.0, max(-1.0, arg))), clamped
+    return inversion
 
 
-def error_ratio_fields(theta2: float, chi: float, gamma: float, alpha: complex,
-                       lo: LoConfig, det: DetectorParams) -> tuple:
-    """``error_ratio``'s SaturationReport fields in order; ``error_ratio`` wraps them."""
-    unit_f = port_amplitudes(theta2, chi, gamma)[0]
-    alpha_f = alpha / math.sqrt(2.0) * unit_f
-    chi_tilde, alpha_f_mag = exact_phase(unit_f, abs(alpha), theta2, chi, gamma)
-    if chi_tilde == 0.0:
-        raise ZeroSignal("error ratio is undefined at zero amplified phase")
+def error_ratio_fields(grid: list[float], chi: float, gamma: float,
+                       alphas: list[complex], lo: LoConfig,
+                       det: DetectorParams) -> Iterator[tuple | None]:
+    """``error_ratio``'s SaturationReport fields, point by point, alpha by alpha.
+
+    Each alpha's points run over the theta2 grid.  A point whose amplitude
+    vanishes or whose amplified phase is zero gives None.  The unit port amplitude and its phase are formed once per angle,
+    the port field's scale once per alpha and the LO terms once per run;
+    ``error_ratio`` takes the one point of a one-angle, one-alpha grid.
+    Points come one at a time, so a caller that keeps a few fields of each
+    holds no others.
+    """
+    units = port_amplitudes(grid, [chi], gamma)[0]
+    phases, mag_rows = exact_phase(units, [abs(alpha) for alpha in alphas])
     xi = lo.effective_phase
-    n1, n2 = detector_counts(lo.beta_mag, xi, alpha_f)
-    x_bar = quadrature_mean(alpha_f, xi)
-    x_saturated = _current_difference(lo.beta_mag, n1, n2, x_bar, det)
-    chi_biased, clamped = invert_phase_linear_model(x_saturated, alpha_f_mag, det)
-    return (n1, n2, (det.k_max / det.n_sat) * x_bar, x_saturated, chi_biased,
-            abs(chi_biased - chi_tilde) / abs(chi_tilde), clamped)
+    slope = det.k_max / det.n_sat
+    for alpha, mags in zip(alphas, mag_rows):
+        check_lo_strength(lo.beta_mag, abs(alpha))
+        scale = alpha / math.sqrt(2.0)
+        alpha_fs = [scale * unit for unit in units]
+        counts = _count_pairs(lo.beta_mag, xi, alpha_fs)
+        x_bars = quadrature_means(alpha_fs, xi)
+        x_sats = _current_differences(lo.beta_mag, counts, x_bars, det)
+        for (n1, n2), x_bar, x_sat, inversion, chi_tilde in zip(
+            counts, x_bars, x_sats, _linear_inversions(x_sats, mags, det), phases
+        ):
+            if inversion is None or chi_tilde == 0.0:
+                yield None
+            else:
+                chi_biased, clamped = inversion
+                yield (n1, n2, slope * x_bar, x_sat, chi_biased,
+                       abs(chi_biased - chi_tilde) / abs(chi_tilde), clamped)
 
 
 def error_ratio(
@@ -136,5 +190,9 @@ def error_ratio(
     result against the exact amplified phase.  Raises ZeroSignal when the true
     amplified phase is zero and the ratio is undefined.
     """
-    return SaturationReport(*error_ratio_fields(params.theta2, params.chi, params.gamma,
-                                                params.alpha, lo, det))
+    fields = next(error_ratio_fields([params.theta2], params.chi, params.gamma,
+                                     [params.alpha], lo, det))
+    if fields is None:
+        chi_tilde_exact(params)  # raises ZeroAmplitude where the amplitude vanishes
+        raise ZeroSignal("error ratio is undefined at zero amplified phase")
+    return SaturationReport(*fields)

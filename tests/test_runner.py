@@ -1,5 +1,6 @@
 """Config loading, figure runners, CLI exit codes, and output determinism."""
 
+import cmath
 import json
 import math
 import random
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from psamzi import (
     ConfigError,
     DarkPointSingularity,
+    DetectorParams,
     LoConfig,
     MziParams,
     ZeroAmplitude,
@@ -34,6 +36,7 @@ from psamzi.config import (
     _SECTIONS,
     _TOP_KEYS,
     DEFAULT_BETA_MAG,
+    RunConfig,
     ScanSpec,
     ShotSpec,
     linspace,
@@ -56,6 +59,8 @@ from psamzi.runner import (
     run_fig4,
     run_single,
 )
+
+import scalar_chain
 
 NEAR_DARK = math.pi / 4 - 0.003
 
@@ -861,3 +866,109 @@ class TestScanRowsMatchRecords:
                 "chi_tilde_biased": report.chi_tilde_biased, "eta_e": report.eta_e,
             }
             assert row[2:] == [saturation["n1"], saturation["n2"], saturation["eta_e"]]
+
+
+@pytest.mark.parametrize("mzi, lo", [
+    # gamma != 0 leaves no dark angle, and fig2's chi = 0.05 = gamma makes
+    # pi/4 a vanishing amplitude.
+    ({"gamma": 0.05, "input_phase": 0.7, "n_photons": 150.0, "chi": -0.03},
+     {"beta_mag": 5.0, "xi": 1.2, "delta": 1e-3}),
+    # gamma = 0 makes pi/4 dark, and chi = 0 makes theta2 = 0 fig4's zero phase.
+    ({"gamma": 0.0, "input_phase": -1.1, "n_photons": 80.0, "chi": 0.0},
+     {"beta_mag": 2.0, "xi": 0.4, "delta": -0.02}),
+], ids=["gamma", "dark"])
+class TestScanMatchesScalarChain:
+    """Every fig2 and fig4 cell equals the point-by-point chain of ``scalar_chain``."""
+
+    def _scan_config(self, tmp_path, mzi, lo):
+        raw = {"mzi": mzi, "lo": lo, "detector": DETECTOR,
+               "chi_values": [1e-3, 0.05, -0.02], "n_values": [0.0, 100.0, 2000.0]}
+        return _config(tmp_path, raw, RECORD_GRID)
+
+    def test_fig2(self, tmp_path, mzi, lo):
+        config = self._scan_config(tmp_path, mzi, lo)
+        table = run_fig2(config)
+        alpha_mag = abs(cmath.rect(math.sqrt(config.n_photons), config.input_phase))
+        expected = [[chi, theta2, *scalar_chain.fig2_cells(theta2, chi, config.gamma,
+                                                           alpha_mag)]
+                    for chi in config.chi_values for theta2 in RECORD_GRID]
+        assert table.rows == expected
+        assert table.sentinel_rows == sum(row[2] is None for row in expected) > 0
+
+    def test_fig4(self, tmp_path, mzi, lo):
+        config = self._scan_config(tmp_path, mzi, lo)
+        table = run_fig4(config)
+        beam, det = config.lo, config.detector
+        expected = []
+        for n_photons in config.n_values:
+            alpha = cmath.rect(math.sqrt(n_photons), config.input_phase)
+            expected += [
+                [theta2, n_photons, *scalar_chain.fig4_cells(
+                    theta2, config.chi, config.gamma, alpha, beam.beta_mag,
+                    beam.xi + beam.delta, det.k_max, det.n_sat)]
+                for theta2 in RECORD_GRID
+            ]
+        assert table.rows == expected
+        assert table.sentinel_rows == sum(row[2] is None for row in expected)
+        # The n = 0 block, first in the table, is NA throughout.
+        assert all(row[2:] == [None] * 3 for row in table.rows[:len(RECORD_GRID)])
+
+
+class TestThetaGridEdges:
+    @pytest.mark.parametrize("command", ["fig2", "fig4"])
+    @pytest.mark.parametrize("grid, bad", [([1.7, 1.2, 0.5], "1.7"),
+                                           ([-0.1, 0.2, 0.5], "-0.1")])
+    def test_first_angle_out_of_range(self, tmp_path, command, grid, bad):
+        config = _config(tmp_path, {"detector": DETECTOR}, grid)
+        runner = {"fig2": run_fig2, "fig4": run_fig4}[command]
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"theta2 must lie in [0, pi/2], got {bad}")):
+            runner(config)
+
+    @pytest.mark.parametrize("runner, sha", [
+        (run_fig2, "eed846dfcc8c8a135e1ac21314a0ae13178fe35f454d1a0986ed6f566c0e5ade"),
+        (run_fig4, "66495e97ce7759f49c57ff345edd580054b42161c3b1a4914f5183003d18adb7"),
+    ], ids=["fig2", "fig4"])
+    def test_empty_grid_gives_no_rows(self, runner, sha):
+        config = RunConfig(lo=LoConfig(beta_mag=DEFAULT_BETA_MAG, xi=math.pi / 2),
+                           detector=DetectorParams(**DETECTOR),
+                           scan=ScanSpec("theta2", []))
+        table = runner(config)
+        assert table.rows == [] and table.sentinel_rows == 0
+        assert table.config_sha256 == sha
+
+
+class TestStrongLo:
+    """(beta_mag + sqrt(2) |alpha|)**2 bounds the detector counts and must be finite."""
+
+    MESSAGE = ("lo.beta_mag=1.4e+154 overflows the detector counts: "
+               "(beta_mag + sqrt(2) * |alpha|)**2 must be finite, got |alpha|=10.0")
+
+    def _configs(self, tmp_path, beta_mag):
+        raw = {"mzi": {"theta2": 0.7, "chi": 0.01}, "lo": {"beta_mag": beta_mag},
+               "detector": DETECTOR}
+        single_cfg = tmp_path / "single.json"
+        single_cfg.write_text(json.dumps(raw))
+        fig4_cfg = tmp_path / "fig4.json"
+        fig4_cfg.write_text(json.dumps({**raw, "n_values": [100.0],
+                                        "scan": {"variable": "theta2", "grid": [0.7]}}))
+        return str(single_cfg), str(fig4_cfg)
+
+    def test_overflowing_lo_exits_2(self, tmp_path, capsys):
+        single_cfg, fig4_cfg = self._configs(tmp_path, 1.4e154)
+        for argv in (["single", "--config", single_cfg], ["fig4", "--config", fig4_cfg]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"config error: {self.MESSAGE}\n"
+
+    def test_largest_finite_lo_exits_0(self, tmp_path, capsys):
+        single_cfg, fig4_cfg = self._configs(tmp_path, 1.3e154)
+        assert main(["single", "--config", single_cfg]) == 0
+        saturation = json.loads(capsys.readouterr().out)["saturation"]
+        assert all(math.isfinite(value) for value in saturation.values())
+        assert main(["fig4", "--config", fig4_cfg]) == 0
+
+    def test_library_raises_value_error(self):
+        params = MziParams(theta2=0.7, chi=0.01, alpha=10.0 + 0j)
+        lo = LoConfig(beta_mag=1.4e154, xi=math.pi / 2)
+        with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
+            error_ratio(params, lo, DetectorParams(**DETECTOR))

@@ -44,6 +44,21 @@ STRONG_LO = {
     "lo": {"beta_mag": 1000.0},
     "detector": DETECTOR,
 }
+# Working point of the strong-LO cases: beta_mag 1.4e154 overflows the detector
+# counts there, 1.3e154 does not.
+STRONG = {"mzi": {"theta2": 0.7, "chi": 0.01}, "detector": DETECTOR}
+# Every run-, angle- and block-level term of fig2 and fig4 away from its
+# default, on 2001 angles whose two halves end exactly on pi/4.
+HALF = [0.1 + i * (DARK - 0.1) / 1000 for i in range(1000)]
+HOISTED = {
+    "mzi": {"gamma": 0.05, "input_phase": 0.3},
+    "lo": {"beta_mag": 5.0, "xi": 1.2, "delta": 1e-3},
+    "detector": DETECTOR,
+    "chi_values": [1e-3, -0.02],
+    "n_values": [0, 100, 2000],
+    "scan": {"variable": "theta2",
+             "grid": HALF + [DARK] + [2 * DARK - t for t in reversed(HALF)]},
+}
 GRIDS = {
     "default grid": [],
     "2001-point grid": ["--scan", "theta2", "0.6", "0.95", "2001"],
@@ -73,6 +88,9 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "balanced_fig4": {**BALANCED, "n_values": [BALANCED["mzi"]["n_photons"]]},
         "strong_lo": STRONG_LO,
         "no_photons": {"mzi": {"n_photons": 0}},
+        "hoisted": HOISTED,
+        "lo_1.3e154": {**STRONG, "lo": {"beta_mag": 1.3e154}},
+        "lo_1.4e154": {**STRONG, "lo": {"beta_mag": 1.4e154}},
         "dark_zero_phase": {"mzi": {"theta2": DARK, "chi": 0.0}},
     }
     for name, mzi in POINTS.items():
@@ -154,6 +172,15 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("fig2 scan over m", ["fig2", "--scan", "m", "1", "2", "2"]),
         ("fig3 m grid to 1e300", ["fig3", "--seed", "1", "--scan", "m", "1", "1e300", "2"]),
     ]
+    for fmt, fmt_args in FORMATS.items():
+        out += [(f"{name} hoisted terms, 2001 angles through pi/4, {fmt}",
+                 [name, "--config", f["hoisted"]] + fmt_args) for name in ("fig2", "fig4")]
+    for beta in ("1.3e154", "1.4e154"):
+        out += [
+            (f"single LO {beta}", ["single", "--config", f[f"lo_{beta}"]]),
+            (f"fig4 LO {beta}",
+             ["fig4", "--config", f[f"lo_{beta}"], "--scan", "theta2", "0.3", "0.4", "2"]),
+        ]
     return out
 
 
