@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
 
@@ -34,6 +35,9 @@ DEFAULT_N_VALUES = [100.0, 500.0, 1000.0, 2000.0]
 DEFAULT_M_GRID = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000]
 # Largest fig3 shot count: one batch of 10**7 float64 shots is 80 MB.
 MAX_SHOTS = 10**7
+# fig3 draws a row's batches in blocks of at most this many shots (128 KiB of
+# float64), or one batch when a batch alone is larger.
+BLOCK_SHOTS = 2**14
 
 # Caption-style working point used when fig3 parameters are not configured.
 FIG3_DEFAULT_THETA2 = math.pi / 4 - 0.003
@@ -115,6 +119,13 @@ def _unless_dark(grid: list[float], term: Callable[[float], object]) -> list:
     return values
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _theta2_table(config: RunConfig, figure: str, columns: list[str],
                   rows: list[list[object]], grid: list[float],
                   **resolved: object) -> Table:
@@ -163,11 +174,18 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
 
     The Monte-Carlo column re-estimates the quadrature fluctuation from the
     spread of ``runs`` batch means per grid point.  Row ``i`` draws its batches
-    in turn from one generator, ``numpy.random.default_rng([seed, i])``.  At a
-    working point with no amplified phase every row is a sentinel: it keeps its
-    ``m``, holds NA elsewhere, and no batch is drawn.
+    in turn from one generator, ``numpy.random.default_rng([seed, i])``, as
+    ``(k, m)`` blocks of at most ``BLOCK_SHOTS`` shots.  Rows are drawn
+    concurrently, largest ``m`` first, on one thread per CPU that the process
+    may run on (``taskset`` narrows that set); each row's stream and
+    reduction order are fixed, so the bytes depend neither on the CPU count
+    nor on the block size.  At a working point with no amplified phase every
+    row is a sentinel: it keeps its ``m``, holds NA elsewhere, and no batch is
+    drawn.
     ``workers`` is accepted for compatibility and has no effect.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     m_grid = [int(round(x)) for x in _scan_grid(config, "fig3", "m", DEFAULT_M_GRID)]
@@ -196,14 +214,25 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     else:
         amp = chi_tilde_exact(params)
         mean = quadrature_mean(propagate_mzi(params).alpha_f, lo.effective_phase)
+        points = uncertainty_vs_m(params, m_grid)
+
+        def batch_mean_spread(index: int) -> float:
+            m = points[index].m
+            rng = np.random.default_rng([seed, index])
+            k = max(1, BLOCK_SHOTS // m)
+            means = np.concatenate([
+                draw_shots(rng, mean, (min(k, runs - start), m)).mean(axis=1)
+                for start in range(0, runs, k)
+            ])
+            return float(means.std(ddof=1))
+
+        order = sorted(range(len(points)), key=lambda i: points[i].m, reverse=True)
+        with ThreadPoolExecutor(min(_cpu_count(), len(order))) as pool:
+            spreads = dict(zip(order, pool.map(batch_mean_spread, order)))
         rows = []
         sentinels = 0
-        for index, point in enumerate(uncertainty_vs_m(params, m_grid)):
-            rng = np.random.default_rng([seed, index])
-            means = np.array(
-                [draw_shots(rng, mean, point.m).mean() for _ in range(runs)]
-            )
-            std_mc = float(means.std(ddof=1))
+        for index, point in enumerate(points):
+            std_mc = spreads[index]
             rows.append([
                 point.m,
                 averaged_stats(point.m, stats).sensitivity,

@@ -53,9 +53,18 @@ def sample_shots(alpha_f: complex, xi: float, m: int, seed: int) -> np.ndarray:
     return draw_shots(np.random.default_rng(seed), quadrature_mean(alpha_f, xi), m)
 
 
-def draw_shots(rng: np.random.Generator, mean: float, m: int) -> np.ndarray:
-    """The next ``m`` single-shot outcomes from ``rng``: mean plus shot noise."""
-    return mean + QUADRATURE_STD * rng.standard_normal(m)
+def draw_shots(rng: np.random.Generator, mean: float,
+               m: int | tuple[int, int]) -> np.ndarray:
+    """The next ``m`` single-shot outcomes from ``rng``: mean plus shot noise.
+
+    A shape ``(k, m)`` holds ``k`` batches of ``m`` drawn in turn, the same
+    outcomes as ``k`` calls with ``m``.
+    """
+    # In place: the bits of mean + QUADRATURE_STD * normals, in one array.
+    shots = rng.standard_normal(m)
+    shots *= QUADRATURE_STD
+    shots += mean
+    return shots
 
 
 def averaged_stats(m: int, base: QuadratureStats) -> QuadratureStats:

@@ -438,17 +438,21 @@ def _imported_packages(args, cwd):
            "try:\n    sample_shots(1.0, 0.0, 2.0, 1)\nexcept ValueError:\n    pass"],
 ])
 def test_closed_forms_load_no_numpy(args, tmp_path):
-    # Only the Monte-Carlo needs numpy; its import would cost most of a CLI run.
+    # Only the Monte-Carlo needs numpy and its thread pool; numpy's import
+    # would cost most of a CLI run.
     (tmp_path / "detector.json").write_text('{"detector": {"k_max": 450, "n_sat": 500}}')
     (tmp_path / "point.json").write_text('{"mzi": {"theta2": 0.78, "chi": 0.01}}')
     result, packages = _imported_packages(args, tmp_path)
     assert result.returncode == 0, result.stderr[-500:]
     assert "psamzi" in packages
     assert "numpy" not in packages
+    assert "concurrent" not in packages
 
 
 def test_fig3_cli_loads_numpy_and_runs(tmp_path):
-    # The positive control of the probe above: fig3 draws its shots with numpy.
+    # The positive control of the probe above: fig3 draws its shots with numpy,
+    # its rows on a thread pool.
     result, packages = _imported_packages(["-m", "psamzi.cli", "fig3", "--seed", "7"], tmp_path)
     assert result.returncode == 0, result.stderr[-500:]
     assert "numpy" in packages
+    assert "concurrent" in packages

@@ -228,6 +228,13 @@ class TestModulationError:
         with pytest.raises(DomainError):
             modulation_error_compare(params, 0.6)
 
+    def test_domain_error_of_bare_phase(self):
+        # chi + delta = -1.59 leaves (-pi/2, pi/2); chi_tilde + delta ~ -0.565 does not.
+        params = MziParams(theta2=NEAR_DARK, chi=1e-2, alpha=10.0 + 0j)
+        assert -math.pi / 2 < chi_tilde_exact(params).chi_tilde - 1.6 < math.pi / 2
+        with pytest.raises(DomainError, match=r"^chi \+ delta = "):
+            modulation_error_compare(params, -1.6)
+
     def test_zero_signal(self):
         params = MziParams(theta2=0.6, chi=0.0, alpha=10.0 + 0j)
         with pytest.raises(ZeroSignal):

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from psamzi.config import (
 )
 from psamzi.homodyne import phase_slope
 from psamzi.runner import (
+    BLOCK_SHOTS,
     DEFAULT_M_GRID,
     DEFAULT_THETA2_GRID_POINTS,
     DEFAULT_THETA2_GRID_START,
@@ -59,10 +61,13 @@ from psamzi.runner import (
     run_fig4,
     run_single,
 )
+from psamzi.shots import draw_shots
 
 import scalar_chain
 
 NEAR_DARK = math.pi / 4 - 0.003
+# fig3 m values on both sides of the block cap; runs 2 and 7 leave remainders.
+BLOCK_CAP_M = [1, 3, 16383, 16384, 16385, 40000]
 
 
 def read_csv(path):
@@ -329,16 +334,18 @@ class TestFig3:
         for row in table.rows:
             assert abs(row[mc] - row[sens]) / row[sens] < 0.2
 
-    @pytest.mark.parametrize("mzi, seed, runs", [
-        ({}, 7, 200),
-        ({"theta2": math.pi / 4 + 0.01, "chi": -0.02, "gamma": 0.05}, 3, 2),
-    ])
-    def test_mc_seeding_contract(self, tmp_path, mzi, seed, runs):
+    @pytest.mark.parametrize("mzi, seed, runs, grid", [
+        ({}, 7, 200, [1, 3, 50, 2000]),
+        ({"theta2": math.pi / 4 + 0.01, "chi": -0.02, "gamma": 0.05}, 3, 2, [1, 3, 50, 2000]),
+        ({}, 11, 2, BLOCK_CAP_M),
+        ({"theta2": math.pi / 4 + 0.01, "chi": -0.02, "gamma": 0.05}, 5, 7, BLOCK_CAP_M),
+    ], ids=["mzi0-7-200", "mzi1-3-2", "block-cap-11-2", "block-cap-5-7"])
+    def test_mc_seeding_contract(self, tmp_path, mzi, seed, runs, grid):
         # Row i's batches are the rows of one (runs, m) block of standard
         # normals from default_rng([seed, i]).
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mzi": mzi, "shots": {"seed": seed, "runs": runs},
-                                    "scan": {"variable": "m", "grid": [1, 3, 50, 2000]}}))
+                                    "scan": {"variable": "m", "grid": grid}}))
         config = load_config(path)
         table = run_fig3(config)
         params = config.mzi_params(
@@ -352,6 +359,62 @@ class TestFig3:
             std_mc = (mean + 0.5 * block).mean(axis=1).std(ddof=1)
             expected = amp.chi_tilde * phase_slope(amp) / std_mc
             assert math.isclose(row[mc], expected, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("grid, runs", [
+        (None, 200),
+        (BLOCK_CAP_M, 2),
+        (BLOCK_CAP_M[::-1], 7),
+    ])
+    def test_bytes_independent_of_cpus_and_blocks(self, tmp_path, monkeypatch, grid, runs):
+        # The reference draws one batch per call on one thread, as a plain loop would.
+        shots = {"seed": 17, "runs": runs}
+        scan = {} if grid is None else {"scan": {"variable": "m", "grid": grid}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"shots": shots, **scan}))
+        config = load_config(path)
+        draws = []
+
+        def recording_draw(rng, mean, shape):
+            draws.append((threading.get_ident(), shape))
+            return draw_shots(rng, mean, shape)
+
+        monkeypatch.setattr("psamzi.runner.draw_shots", recording_draw)
+        monkeypatch.setattr("psamzi.runner.BLOCK_SHOTS", 1)
+        monkeypatch.setattr("psamzi.runner._cpu_count", lambda: 1)
+        expected = render_csv(run_fig3(config), 12)
+        m_grid = grid or DEFAULT_M_GRID
+        assert len(draws) == runs * len(m_grid)
+        # One thread takes the rows in turn, largest m first.
+        assert [shape[1] for _, shape in draws[::runs]] == sorted(m_grid, reverse=True)
+        for block in (1, 5, BLOCK_SHOTS):
+            for cpus in (1, 2, 16):
+                monkeypatch.setattr("psamzi.runner.BLOCK_SHOTS", block)
+                monkeypatch.setattr("psamzi.runner._cpu_count", lambda: cpus)
+                draws.clear()
+                assert render_csv(run_fig3(config), 12) == expected
+                assert len({thread for thread, _ in draws}) <= min(cpus, len(m_grid))
+                for _, (k, m) in draws:
+                    assert 1 <= k <= runs and (k * m <= block or k == 1)
+
+    def test_draw_error_propagates(self, monkeypatch):
+        config = load_config(None, seed=23)
+        expected = render_csv(run_fig3(config), 12)
+        threads = threading.active_count()
+        error = RuntimeError("draw failed")
+
+        def failing_draw(rng, mean, shape):
+            if shape[1] == 50:
+                raise error
+            return draw_shots(rng, mean, shape)
+
+        monkeypatch.setattr("psamzi.runner._cpu_count", lambda: 2)
+        monkeypatch.setattr("psamzi.runner.draw_shots", failing_draw)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_fig3(config)
+        assert excinfo.value is error
+        assert threading.active_count() == threads
+        monkeypatch.setattr("psamzi.runner.draw_shots", draw_shots)
+        assert render_csv(run_fig3(config), 12) == expected
 
     def test_columns_match_library_past_dark_point(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -239,6 +239,12 @@ class TestLinearInversion:
         with pytest.raises(ZeroAmplitude):
             invert_phase_linear_model(0.1, 0.0, FIG4_DETECTOR)
 
+    def test_zero_amplitude_boundary(self):
+        # An |alpha_f| equal to the tolerance vanishes; twice it does not.
+        with pytest.raises(ZeroAmplitude):
+            invert_phase_linear_model(0.0, 1e-15, FIG4_DETECTOR)
+        assert invert_phase_linear_model(0.0, 2e-15, FIG4_DETECTOR) == (0.0, False)
+
 
 class TestErrorRatio:
     def test_negligible_when_counts_are_tiny(self):

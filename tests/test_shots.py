@@ -133,6 +133,17 @@ class TestEstimator:
         assert estimate.clamped
         assert math.isclose(estimate.chi_tilde_hat, math.pi / 2, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("edge", [1.0, -1.0])
+    def test_unit_ratio_is_not_clamped(self, edge):
+        # A ratio of exactly +-1 lies in asin's domain; just past it is clamped.
+        estimate = estimate_chi_from_run(np.array([edge]), 1.0, NEAR_DARK)
+        assert not estimate.clamped
+        assert estimate.chi_tilde_hat == math.copysign(math.pi / 2, edge)
+        past = estimate_chi_from_run(np.array([math.nextafter(edge, 2 * edge)]), 1.0,
+                                     NEAR_DARK)
+        assert past.clamped
+        assert past.chi_tilde_hat == estimate.chi_tilde_hat
+
     def test_rejects_zero_amplitude(self):
         samples = sample_shots(0.0 + 0j, 0.0, 10, seed=3)
         with pytest.raises(ZeroAmplitude):

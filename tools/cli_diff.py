@@ -59,6 +59,9 @@ HOISTED = {
     "scan": {"variable": "theta2",
              "grid": HALF + [DARK] + [2 * DARK - t for t in reversed(HALF)]},
 }
+# fig3 m values on both sides of its 2**14-shot block cap, with runs that leave
+# a remainder block.
+BLOCK_CAP_M = [1, 3, 16383, 16384, 16385, 40000]
 GRIDS = {
     "default grid": [],
     "2001-point grid": ["--scan", "theta2", "0.6", "0.95", "2001"],
@@ -93,6 +96,11 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "lo_1.4e154": {**STRONG, "lo": {"beta_mag": 1.4e154}},
         "dark_zero_phase": {"mzi": {"theta2": DARK, "chi": 0.0}},
     }
+    for runs in (2, 7):
+        objects[f"block_cap_runs_{runs}"] = {
+            "shots": {"seed": 5, "runs": runs},
+            "scan": {"variable": "m", "grid": BLOCK_CAP_M},
+        }
     for name, mzi in POINTS.items():
         objects[name] = {"mzi": mzi}
         objects[f"{name}_det"] = {"mzi": mzi, "detector": DETECTOR}
@@ -175,6 +183,9 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
     for fmt, fmt_args in FORMATS.items():
         out += [(f"{name} hoisted terms, 2001 angles through pi/4, {fmt}",
                  [name, "--config", f["hoisted"]] + fmt_args) for name in ("fig2", "fig4")]
+        out += [(f"fig3 m across the block cap, shots.runs {runs}, {fmt}",
+                 ["fig3", "--config", f[f"block_cap_runs_{runs}"]] + fmt_args)
+                for runs in (2, 7)]
     for beta in ("1.3e154", "1.4e154"):
         out += [
             (f"single LO {beta}", ["single", "--config", f[f"lo_{beta}"]]),
