@@ -52,22 +52,25 @@ class AmplifiedPhase:
     imag_warning: bool = False
 
 
-def postselection_overlap(
-    theta2: float, gamma: float
-) -> tuple[complex, complex, complex]:
-    """Path amplitudes c1, c2 and their sum, the overlap; ``weak_value`` wraps them.
+def weak_values(grid: list[float],
+                gamma: float) -> list[tuple[complex, complex, complex, complex] | None]:
+    """``WeakValue`` fields (c1, c2, overlap, a_w) at each angle, None where dark.
 
-    Raises DarkPointSingularity when |c1 + c2| < 1e-15, i.e. the postselection
-    is exactly orthogonal and the weak value diverges.
+    c1 = cos(theta2) / sqrt(2) and c2 = -e^{i gamma} sin(theta2) / sqrt(2).
+    This is the one dark-point rule: where |c1 + c2| < DARK_OVERLAP_TOL the
+    postselection is exactly orthogonal and a_w = c1 / (c1 + c2) diverges.
+    ``weak_value`` calls it with one angle.
     """
-    c1 = complex(math.cos(theta2) / math.sqrt(2.0))
-    c2 = -cmath.exp(1j * gamma) * math.sin(theta2) / math.sqrt(2.0)
-    overlap = c1 + c2
-    if abs(overlap) < DARK_OVERLAP_TOL:
-        raise DarkPointSingularity(
-            f"postselection overlap is zero at theta2={theta2}, gamma={gamma}"
-        )
-    return c1, c2, overlap
+    root2 = math.sqrt(2.0)
+    arm2 = -cmath.exp(1j * gamma)
+    points = []
+    for theta2 in grid:
+        c1 = complex(math.cos(theta2) / root2)
+        c2 = arm2 * math.sin(theta2) / root2
+        overlap = c1 + c2
+        points.append(None if abs(overlap) < DARK_OVERLAP_TOL
+                      else (c1, c2, overlap, c1 / overlap))
+    return points
 
 
 def aav_phase(a_w_reals: list[float | None], chi: float) -> list[float | None]:
@@ -106,8 +109,12 @@ def weak_value(theta2: float, gamma: float = 0.0) -> WeakValue:
 
     Raises DarkPointSingularity where the overlap vanishes.
     """
-    c1, c2, overlap = postselection_overlap(theta2, gamma)
-    return WeakValue(c1=c1, c2=c2, overlap=overlap, a_w=c1 / overlap)
+    point = weak_values([theta2], gamma)[0]
+    if point is None:
+        raise DarkPointSingularity(
+            f"postselection overlap is zero at theta2={theta2}, gamma={gamma}"
+        )
+    return WeakValue(*point)
 
 
 def chi_tilde_aav(params: MziParams) -> AmplifiedPhase:

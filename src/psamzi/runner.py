@@ -11,18 +11,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
 
-from .amplification import (aav_phase, chi_tilde_aav, chi_tilde_exact, exact_phase,
-                            postselection_overlap, weak_value)
+from .amplification import aav_phase, chi_tilde_exact, exact_phase, weak_values
 from .config import RunConfig, config_hash, linspace, strictly_monotone
-from .errors import ConfigError, DarkPointSingularity, ZeroAmplitude, ZeroSignal
-from .homodyne import (LoConfig, phase_sensitivity, quadrature_mean,
-                       quadrature_stats_exact)
+from .errors import ConfigError, ZeroAmplitude
+from .homodyne import phase_sensitivity, quadrature_mean, quadrature_stats_exact
 from .optics import (coherent_amplitude, intensity_difference, port_amplitudes,
                      propagate_mzi, theta2_in_range)
-from .saturation import DetectorParams, error_ratio_fields
+from .saturation import error_ratio_fields
 from .shots import averaged_stats, draw_shots, uncertainty_vs_m
 
 # Exposes the amplification ramp without touching the dark-point singularity.
@@ -43,11 +40,6 @@ BLOCK_SHOTS = 2**14
 FIG3_DEFAULT_THETA2 = math.pi / 4 - 0.003
 FIG3_DEFAULT_CHI = 1e-2
 FIG4_DEFAULT_CHI = 1e-4
-
-# A scan point raising one of these is a dark-point sentinel row: the weak
-# value diverges, the postselected amplitude vanishes, or the amplified phase
-# is zero.
-_SENTINEL_ERRORS = (DarkPointSingularity, ZeroAmplitude, ZeroSignal)
 
 
 @dataclass
@@ -108,17 +100,6 @@ def _theta2_grid(config: RunConfig, figure: str) -> list[float]:
     return grid
 
 
-def _unless_dark(grid: list[float], term: Callable[[float], object]) -> list:
-    """``term(theta2)`` at each angle, None where the postselection is dark."""
-    values = []
-    for theta2 in grid:
-        try:
-            values.append(term(theta2))
-        except DarkPointSingularity:
-            values.append(None)
-    return values
-
-
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -147,7 +128,8 @@ def run_fig2(config: RunConfig, workers: int = 1) -> Table:
     gamma = config.gamma
     alpha_mag = abs(coherent_amplitude(config.n_photons, config.input_phase))
     grid = _theta2_grid(config, "fig2")
-    a_ws = _unless_dark(grid, lambda theta2: weak_value(theta2, gamma).a_w.real)
+    a_ws = [None if point is None else point[3].real
+            for point in weak_values(grid, gamma)]
     rows: list[list[object]] = []
     for chi, units in zip(chi_values, port_amplitudes(grid, chi_values, gamma)):
         phases, (mags,) = exact_phase(units, [alpha_mag])
@@ -208,7 +190,7 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     params = config.mzi_params(theta2=theta2, chi=chi)
     try:
         stats = quadrature_stats_exact(params)
-    except _SENTINEL_ERRORS:
+    except ZeroAmplitude:
         rows: list[list[object]] = [[m, None, None, None, None, None] for m in m_grid]
         sentinels = len(rows)
     else:
@@ -263,19 +245,6 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     )
 
 
-def _saturation(grid: list[float], chi: float, gamma: float, alphas: list[complex],
-                lo: LoConfig, det: DetectorParams) -> Iterator[tuple | None]:
-    """``error_ratio_fields``, with exact dark postselection as a sentinel too.
-
-    There the linear inversion is degenerate even when the port amplitude
-    itself is nonzero.
-    """
-    overlaps = _unless_dark(grid, lambda theta2: postselection_overlap(theta2, gamma))
-    points = error_ratio_fields(grid, chi, gamma, alphas, lo, det)
-    return (None if overlap is None else fields
-            for overlap, fields in zip(overlaps * len(alphas), points))
-
-
 def run_fig4(config: RunConfig, workers: int = 1) -> Table:
     """Saturation error ratio versus postselection angle, per input intensity.
 
@@ -289,7 +258,7 @@ def run_fig4(config: RunConfig, workers: int = 1) -> Table:
     det = config.detector
     grid = _theta2_grid(config, "fig4")
     alphas = [coherent_amplitude(n, config.input_phase) for n in n_values]
-    points = _saturation(grid, chi, config.gamma, alphas, lo, det)
+    points = error_ratio_fields(grid, chi, config.gamma, alphas, lo, det)
     rows: list[list[object]] = []
     for n_photons in n_values:
         # With grid first, zip takes exactly one block of points.
@@ -333,6 +302,8 @@ def run_single(config: RunConfig) -> dict:
         detector=None if config.detector is None else asdict(config.detector),
     )
 
+    point = weak_values([params.theta2], params.gamma)[0]
+    a_w = None if point is None else point[3].real
     record: dict[str, object] = {
         "config_sha256": sha,
         "alpha_f": {"re": fields.alpha_f.real, "im": fields.alpha_f.imag},
@@ -341,15 +312,9 @@ def run_single(config: RunConfig) -> dict:
         "complement_intensity": fields.intensity_fbar,
         "intensity_difference": intensity_difference(params),
         "quadrature_mean": quadrature_mean(fields.alpha_f, lo.effective_phase),
+        "weak_value": a_w,
+        "chi_tilde_aav": aav_phase([a_w], params.chi)[0],
     }
-
-    try:
-        wv = weak_value(params.theta2, params.gamma)
-        record["chi_tilde_aav"] = chi_tilde_aav(params).chi_tilde
-        record["weak_value"] = wv.a_w.real
-    except _SENTINEL_ERRORS:
-        record["chi_tilde_aav"] = None
-        record["weak_value"] = None
 
     try:
         exact = chi_tilde_exact(params)
@@ -357,14 +322,14 @@ def run_single(config: RunConfig) -> dict:
         record["chi_tilde_exact"] = exact.chi_tilde
         record["snr"] = stats.snr
         record["sensitivity"] = stats.sensitivity
-    except _SENTINEL_ERRORS:
+    except ZeroAmplitude:
         record["chi_tilde_exact"] = None
         record["snr"] = None
         record["sensitivity"] = None
 
     if config.detector is not None:
-        fields = next(_saturation([params.theta2], params.chi, params.gamma,
-                                  [params.alpha], lo, config.detector))
+        fields = next(error_ratio_fields([params.theta2], params.chi, params.gamma,
+                                         [params.alpha], lo, config.detector))
         names = ["n1", "n2", "x_linear", "x_saturated", "chi_tilde_biased", "eta_e"]
         record["saturation"] = None if fields is None else dict(zip(names, fields))
     return record

@@ -14,7 +14,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .amplification import ZERO_AMPLITUDE_TOL, chi_tilde_exact, exact_phase
+from .amplification import (ZERO_AMPLITUDE_TOL, chi_tilde_exact, exact_phase,
+                            weak_value, weak_values)
 from .errors import ZeroAmplitude, ZeroSignal
 from .homodyne import LoConfig, quadrature_means
 from .optics import MziParams, port_amplitudes
@@ -152,13 +153,16 @@ def error_ratio_fields(grid: list[float], chi: float, gamma: float,
                        det: DetectorParams) -> Iterator[tuple | None]:
     """``error_ratio``'s SaturationReport fields, point by point, alpha by alpha.
 
-    Each alpha's points run over the theta2 grid.  A point whose amplitude
-    vanishes or whose amplified phase is zero gives None.  The unit port amplitude and its phase are formed once per angle,
-    the port field's scale once per alpha and the LO terms once per run;
-    ``error_ratio`` takes the one point of a one-angle, one-alpha grid.
-    Points come one at a time, so a caller that keeps a few fields of each
-    holds no others.
+    Each alpha's points run over the theta2 grid.  A point at a dark angle of
+    ``weak_values``, where the linear inversion is degenerate even when the
+    amplitude is not, gives None, and so does a point whose amplitude
+    vanishes or whose amplified phase is zero.  The dark rule, the unit port
+    amplitude and its phase are formed once per angle, the port field's
+    scale once per alpha and the LO terms once per run; ``error_ratio``
+    takes the one point of a one-angle, one-alpha grid.  Points come one at
+    a time, so a caller that keeps a few fields of each holds no others.
     """
+    darks = [point is None for point in weak_values(grid, gamma)]
     units = port_amplitudes(grid, [chi], gamma)[0]
     phases, mag_rows = exact_phase(units, [abs(alpha) for alpha in alphas])
     xi = lo.effective_phase
@@ -170,10 +174,10 @@ def error_ratio_fields(grid: list[float], chi: float, gamma: float,
         counts = _count_pairs(lo.beta_mag, xi, alpha_fs)
         x_bars = quadrature_means(alpha_fs, xi)
         x_sats = _current_differences(lo.beta_mag, counts, x_bars, det)
-        for (n1, n2), x_bar, x_sat, inversion, chi_tilde in zip(
-            counts, x_bars, x_sats, _linear_inversions(x_sats, mags, det), phases
+        for (n1, n2), x_bar, x_sat, inversion, chi_tilde, dark in zip(
+            counts, x_bars, x_sats, _linear_inversions(x_sats, mags, det), phases, darks
         ):
-            if inversion is None or chi_tilde == 0.0:
+            if dark or inversion is None or chi_tilde == 0.0:
                 yield None
             else:
                 chi_biased, clamped = inversion
@@ -187,12 +191,15 @@ def error_ratio(
     """Relative bias |chi_tilde' - chi_tilde| / chi_tilde from saturation.
 
     Feeds the saturated readout through the linear inversion and compares the
-    result against the exact amplified phase.  Raises ZeroSignal when the true
+    result against the exact amplified phase.  Raises, where ``error_ratio_fields``
+    gives None: ZeroAmplitude where the amplitude vanishes, else
+    DarkPointSingularity at a dark angle, else ZeroSignal, since the true
     amplified phase is zero and the ratio is undefined.
     """
     fields = next(error_ratio_fields([params.theta2], params.chi, params.gamma,
                                      [params.alpha], lo, det))
     if fields is None:
-        chi_tilde_exact(params)  # raises ZeroAmplitude where the amplitude vanishes
+        chi_tilde_exact(params)
+        weak_value(params.theta2, params.gamma)
         raise ZeroSignal("error ratio is undefined at zero amplified phase")
     return SaturationReport(*fields)

@@ -858,7 +858,6 @@ _SENTINELS = (DarkPointSingularity, ZeroAmplitude, ZeroSignal)
 
 def _fig4_record(config, theta2, n_photons):
     try:
-        weak_value(theta2, config.gamma)
         params = MziParams(theta2=theta2, chi=config.chi, gamma=config.gamma,
                            alpha=coherent_amplitude(n_photons, config.input_phase))
         report = error_ratio(params, config.lo, config.detector)
@@ -1035,3 +1034,50 @@ class TestStrongLo:
         lo = LoConfig(beta_mag=1.4e154, xi=math.pi / 2)
         with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
             error_ratio(params, lo, DetectorParams(**DETECTOR))
+
+
+def _float_steps(x, n):
+    """x moved n float steps, up for n > 0 and down for n < 0."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+def _raises(error, function, *args):
+    try:
+        function(*args)
+    except error:
+        return True
+    return False
+
+
+# Float steps from pi/4; the dark band's edges and the first angles past them.
+DARK_STEPS = range(-12, 13)
+
+
+@pytest.mark.parametrize("gamma, dark_steps", [
+    # |c1 + c2| < 1e-15 from 9 steps below pi/4 to 10 steps above it.
+    (0.0, range(-9, 11)),
+    # e^{i gamma} != 1 keeps the overlap away from zero at every angle.
+    (0.05, ()),
+], ids=["gamma 0", "gamma 0.05"])
+def test_dark_band_readers_agree(tmp_path, gamma, dark_steps):
+    """weak_value, error_ratio, fig2, fig4 and single agree angle for angle."""
+    grid = [_float_steps(math.pi / 4, step) for step in DARK_STEPS]
+    raw = {"mzi": {"chi": 0.01, "gamma": gamma}, "detector": DETECTOR,
+           "chi_values": [0.01], "n_values": [100.0]}
+    config = _config(tmp_path, raw, grid)
+    fig2, fig4 = run_fig2(config).rows, run_fig4(config).rows
+    config.scan = None
+    for step, theta2, fig2_row, fig4_row in zip(DARK_STEPS, grid, fig2, fig4):
+        config.theta2 = theta2
+        params = config.mzi_params()
+        readers = {
+            "weak_value": _raises(DarkPointSingularity, weak_value, theta2, gamma),
+            "error_ratio": _raises(DarkPointSingularity, error_ratio, params,
+                                   config.lo, config.detector),
+            "fig2 NA": fig2_row[2:] == [None] * 4,
+            "fig4 NA": fig4_row[2:] == [None] * 3,
+            "single null": run_single(config)["saturation"] is None,
+        }
+        assert readers == dict.fromkeys(readers, step in dark_steps), step

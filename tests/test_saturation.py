@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from psamzi import (
+    DarkPointSingularity,
     DetectorParams,
     LoConfig,
     MziParams,
@@ -331,6 +332,17 @@ class TestErrorRatio:
         with pytest.raises(ZeroAmplitude):
             error_ratio(
                 MziParams(theta2=math.pi / 4, chi=0.0, alpha=10.0 + 0j),
+                FIG4_LO,
+                FIG4_DETECTOR,
+            )
+
+    def test_dark_angle_raises(self):
+        # The amplitude is nonzero at chi = 0.01, but the postselection is
+        # dark, so the linear inversion is degenerate: fig4 writes NA and
+        # single a null saturation there.
+        with pytest.raises(DarkPointSingularity):
+            error_ratio(
+                MziParams(theta2=math.pi / 4, chi=0.01, alpha=10.0 + 0j),
                 FIG4_LO,
                 FIG4_DETECTOR,
             )

@@ -59,6 +59,22 @@ HOISTED = {
     "scan": {"variable": "theta2",
              "grid": HALF + [DARK] + [2 * DARK - t for t in reversed(HALF)]},
 }
+
+
+def float_steps(x: float, n: int) -> float:
+    """x moved n float steps, up for n > 0 and down for n < 0."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+# pi/4 and its 12 float neighbours on each side.  At gamma 0 the overlap is
+# dark from 9 steps below pi/4 to 10 steps above it; single runs on both
+# edges of that band.
+DARK_EDGE = {"mzi": {"chi": 0.01}, "detector": DETECTOR,
+             "scan": {"variable": "theta2",
+                      "grid": [float_steps(DARK, n) for n in range(-12, 13)]}}
+DARK_EDGE_SINGLE_STEPS = (-10, -9, 0, 10, 11)
 # fig3 m values on both sides of its 2**14-shot block cap, with runs that leave
 # a remainder block.
 BLOCK_CAP_M = [1, 3, 16383, 16384, 16385, 40000]
@@ -96,6 +112,10 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "lo_1.4e154": {**STRONG, "lo": {"beta_mag": 1.4e154}},
         "dark_zero_phase": {"mzi": {"theta2": DARK, "chi": 0.0}},
     }
+    for n in DARK_EDGE_SINGLE_STEPS:
+        objects[f"dark_edge_{n}"] = {"mzi": {"theta2": float_steps(DARK, n), "chi": 0.01},
+                                     "detector": DETECTOR}
+    objects["dark_edge"] = DARK_EDGE
     for runs in (2, 7):
         objects[f"block_cap_runs_{runs}"] = {
             "shots": {"seed": 5, "runs": runs},
@@ -186,6 +206,10 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
         out += [(f"fig3 m across the block cap, shots.runs {runs}, {fmt}",
                  ["fig3", "--config", f[f"block_cap_runs_{runs}"]] + fmt_args)
                 for runs in (2, 7)]
+    out += [(f"{name} 25 float neighbours of pi/4, csv",
+             [name, "--config", f["dark_edge"]] + FORMATS["csv"]) for name in ("fig2", "fig4")]
+    out += [(f"single {n} float steps from pi/4, detector",
+             ["single", "--config", f[f"dark_edge_{n}"]]) for n in DARK_EDGE_SINGLE_STEPS]
     for beta in ("1.3e154", "1.4e154"):
         out += [
             (f"single LO {beta}", ["single", "--config", f[f"lo_{beta}"]]),
