@@ -74,11 +74,14 @@ def weak_values(grid: list[float],
 
 
 def aav_phase(a_w_reals: list[float | None], chi: float) -> list[float | None]:
-    """Wrapped small-coupling phases Re(a_w) * chi, None where a_w is.
+    """Wrapped small-coupling phases Re(a_w) * chi.
 
+    None where a_w is, or where Re(a_w) * chi overflows: the phase is then
+    undefined, as ``exact_phase``'s is where the amplitude vanishes.
     ``chi_tilde_aav`` calls it with one weak value.
     """
-    return [None if a_w is None else wrap_angle(a_w * chi) for a_w in a_w_reals]
+    return [None if a_w is None or not math.isfinite(phase := a_w * chi)
+            else wrap_angle(phase) for a_w in a_w_reals]
 
 
 def exact_phase(units: list[complex],
@@ -120,13 +123,17 @@ def weak_value(theta2: float, gamma: float = 0.0) -> WeakValue:
 def chi_tilde_aav(params: MziParams) -> AmplifiedPhase:
     """Small-coupling amplified phase Re(a_w) * chi.
 
-    The postselected amplitude it rides on is |c1 + c2| * |alpha|.
+    The postselected amplitude it rides on is |c1 + c2| * |alpha|.  Raises
+    ValueError where Re(a_w) * chi overflows.
     """
     chi = params.chi
     wv = weak_value(params.theta2, params.gamma)
     warn = abs(wv.a_w.imag * chi) > IMAG_WARNING_RATIO * abs(wv.a_w.real * chi)
+    chi_tilde = aav_phase([wv.a_w.real], chi)[0]
+    if chi_tilde is None:
+        raise ValueError(f"Re(a_w) * chi overflows at theta2={params.theta2}, chi={chi}")
     return AmplifiedPhase(
-        chi_tilde=aav_phase([wv.a_w.real], chi)[0],
+        chi_tilde=chi_tilde,
         alpha_f_mag=abs(wv.overlap) * abs(params.alpha),
         imag_warning=warn,
     )

@@ -90,7 +90,7 @@ def _build(cls, **values):
         raise ConfigError(str(exc)) from exc
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
+def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
@@ -116,19 +116,6 @@ def _string(value: object, name: str) -> str:
     return value
 
 
-def _number_list(value: object, name: str) -> list[float]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{name} must be a nonempty list of numbers")
-    out = []
-    for entry in value:
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ConfigError(f"{name} must contain only numbers, got {entry!r}")
-        if not math.isfinite(entry):
-            raise ConfigError(f"{name} must contain only finite numbers")
-        out.append(float(entry))
-    return out
-
-
 def _choice(options: tuple[str, ...]):
     def parse(value: object, name: str) -> str:
         if value not in options:
@@ -149,6 +136,25 @@ def _bounded(parse, low: int, high: int | None = None):
     return check
 
 
+def _list(parse):
+    """A nonempty list whose entry ``i`` passes ``parse`` as ``name[i]``."""
+    def check(value: object, name: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a nonempty list of numbers")
+        return [parse(entry, f"{name}[{i}]") for i, entry in enumerate(value)]
+    return check
+
+
+_number_list = _list(_number)
+
+
+def _grid(value: object, name: str) -> list[float]:
+    grid = _number_list(value, name)
+    if not strictly_monotone(grid):
+        raise ConfigError(f"{name} must be strictly monotone")
+    return grid
+
+
 # The only list of each section's keys, with the parser that checks its value.
 # The keys equal the fields of the dataclass the section builds.
 _SECTIONS = {
@@ -157,22 +163,35 @@ _SECTIONS = {
     "lo": {"beta_mag": _number, "xi": _number, "delta": _number},
     "detector": {"k_max": _number, "n_sat": _number},
     "shots": {"seed": _bounded(_integer, 0), "runs": _bounded(_integer, 2)},
-    "scan": {"variable": _choice(SCAN_VARIABLES), "grid": _number_list},
+    "scan": {"variable": _choice(SCAN_VARIABLES), "grid": _grid},
     "output": {"path": _string, "format": _choice(OUTPUT_FORMATS),
                "precision": _bounded(_integer, 1, 17)},
 }
-_TOP_KEYS = {*_SECTIONS, "chi_values", "n_values"}
+# The keys a section must hold when it is present.
+_REQUIRED = {"lo": ("beta_mag",), "detector": ("k_max", "n_sat"),
+             "scan": ("variable", "grid")}
+# The top-level lists, each a RunConfig field of the same name.
+_LISTS = {"chi_values": _number_list, "n_values": _list(_bounded(_number, 0))}
+_TOP_KEYS = {*_SECTIONS, *_LISTS}
 
 
 def _section(raw: dict, name: str) -> dict:
-    """The object ``raw[name]``, {} if absent, checked against ``_SECTIONS``."""
+    """The object ``raw[name]``, {} if absent, checked against the schema.
+
+    Every value is parsed before a missing required key is reported.
+    """
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be an object")
     parsers = _SECTIONS[name]
-    _require_keys(section, set(parsers), name)
-    return {key: parse(section[key], f"{name}.{key}")
-            for key, parse in parsers.items() if key in section}
+    _reject_unknown(section, set(parsers), name)
+    values = {key: parse(section[key], f"{name}.{key}")
+              for key, parse in parsers.items() if key in section}
+    if name in raw:
+        for key in _REQUIRED.get(name, ()):
+            if key not in values:
+                raise ConfigError(f"{name}.{key} is required when {name} is present")
+    return values
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -203,14 +222,6 @@ def strictly_monotone(grid: list[float]) -> bool:
     return all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
 
 
-def _scan(values: dict) -> ScanSpec:
-    if values.keys() != _SECTIONS["scan"].keys():
-        raise ConfigError("scan requires both 'variable' and 'grid'")
-    if not strictly_monotone(values["grid"]):
-        raise ConfigError("scan.grid must be strictly monotone")
-    return ScanSpec(**values)
-
-
 def read_json_object(path: str | Path, what: str) -> dict:
     """The JSON object in the file at ``path``; ``what`` names the file in errors."""
     file_path = Path(path)
@@ -239,47 +250,38 @@ def load_config(
 ) -> RunConfig:
     """Load a JSON config file and apply CLI overrides.
 
-    Every recognized section is validated eagerly so a malformed config fails
-    before any computation starts.  An override passes the same value rule as
-    its config key.
+    Every file value and flag passes its schema rule before anything is
+    built, so a malformed config fails before any computation starts; then
+    each dataclass is built once.
     """
     raw = {} if path is None else read_json_object(path, "config")
-    _require_keys(raw, _TOP_KEYS, "top-level")
+    _reject_unknown(raw, _TOP_KEYS, "top-level")
     mzi, lo, det, shots, scan_values, output = (_section(raw, n) for n in _SECTIONS)
-
-    if "lo" in raw and "beta_mag" not in lo:
-        raise ConfigError("lo.beta_mag is required when lo is present")
-    xi = math.pi / 2 + mzi.get("input_phase", DEFAULT_INPUT_PHASE)
-    lo = _build(LoConfig, **{"beta_mag": DEFAULT_BETA_MAG, "xi": xi, **lo})
-    config = RunConfig(**mzi, lo=lo, shots=ShotSpec(**shots),
-                       output=OutputSpec(**output))
-    if "detector" in raw:
-        if det.keys() != _SECTIONS["detector"].keys():
-            raise ConfigError("detector requires both 'k_max' and 'n_sat'")
-        config.detector = _build(DetectorParams, **det)
-    if "scan" in raw:
-        config.scan = _scan(scan_values)
-    if "chi_values" in raw:
-        config.chi_values = _number_list(raw["chi_values"], "chi_values")
-    if "n_values" in raw:
-        config.n_values = _number_list(raw["n_values"], "n_values")
-        if any(v < 0 for v in config.n_values):
-            raise ConfigError("n_values must be >= 0")
-    if config.detector is not None:
-        n_max = max([config.n_photons, *(config.n_values or [])])
-        _build(check_lo_strength, beta_mag=lo.beta_mag,
-               alpha_mag=abs(coherent_amplitude(n_max, config.input_phase)))
-
-    # CLI overrides win over the file.
+    lists = {key: parse(raw[key], key) for key, parse in _LISTS.items() if key in raw}
+    # CLI flags win over the file; each passes its key's rule under its own name.
     if scan is not None:
         override = {"variable": scan.variable, "grid": list(scan.grid)}
-        config.scan = _scan(_section({"scan": override}, "scan"))
+        scan_values = _section({"scan": override}, "scan")
     if seed is not None:
-        config.shots.seed = _SECTIONS["shots"]["seed"](seed, "seed")
+        shots["seed"] = _SECTIONS["shots"]["seed"](seed, "seed")
     if out is not None:
-        config.output.path = _SECTIONS["output"]["path"](out, "out")
+        output["path"] = _SECTIONS["output"]["path"](out, "out")
     if fmt is not None:
-        config.output.format = _SECTIONS["output"]["format"](fmt, "format")
+        output["format"] = _SECTIONS["output"]["format"](fmt, "format")
+
+    xi = math.pi / 2 + mzi.get("input_phase", DEFAULT_INPUT_PHASE)
+    config = RunConfig(
+        **mzi, **lists,
+        lo=_build(LoConfig, **{"beta_mag": DEFAULT_BETA_MAG, "xi": xi, **lo}),
+        detector=_build(DetectorParams, **det) if det else None,
+        shots=ShotSpec(**shots),
+        scan=ScanSpec(**scan_values) if scan_values else None,
+        output=OutputSpec(**output),
+    )
+    if config.detector is not None:
+        n_max = max([config.n_photons, *(config.n_values or [])])
+        _build(check_lo_strength, beta_mag=config.lo.beta_mag,
+               alpha_mag=abs(coherent_amplitude(n_max, config.input_phase)))
     return config
 
 

@@ -44,13 +44,19 @@ FIG4_DEFAULT_CHI = 1e-4
 
 @dataclass
 class Table:
-    """Ordered scan output with its provenance: the config hash and the seed."""
+    """Ordered scan output with its provenance: the config hash and the seed.
+
+    A row whose last cell is NA is a sentinel row.
+    """
 
     columns: list[str]
     rows: list[list[object]]
     config_sha256: str
     seed: int | None = None
-    sentinel_rows: int = 0
+
+    @property
+    def sentinel_rows(self) -> int:
+        return sum(row[-1] is None for row in self.rows)
 
     @property
     def sentinel_only(self) -> bool:
@@ -107,21 +113,13 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _theta2_table(config: RunConfig, figure: str, columns: list[str],
-                  rows: list[list[object]], grid: list[float],
-                  **resolved: object) -> Table:
-    """The scan's Table; a row whose third cell is NA is a sentinel row."""
-    sentinels = sum(row[2] is None for row in rows)
-    sha = _config_sha256(config, figure, theta2_grid=grid, **resolved)
-    return Table(columns, rows, sha, sentinel_rows=sentinels)
-
-
 def run_fig2(config: RunConfig, workers: int = 1) -> Table:
     """Amplified-phase ramp versus the postselection angle.
 
     One row per (chi, theta2) pair with both the small-coupling and the exact
     amplified phase, the weak value, and the postselected intensity; NA in
-    all four where the postselection is dark or the amplitude vanishes.
+    all four where the postselection is dark or the amplitude vanishes, and
+    in ``chi_tilde_aav`` alone where Re(a_w) * chi overflows.
     ``workers`` is accepted for compatibility and has no effect.
     """
     chi_values = config.chi_values or list(DEFAULT_CHI_VALUES)
@@ -139,16 +137,10 @@ def run_fig2(config: RunConfig, workers: int = 1) -> Table:
                 rows.append([chi, theta2, None, None, None, None])
             else:
                 rows.append([chi, theta2, aav, chi_tilde, a_w, mag**2])
-    return _theta2_table(
-        config,
-        "fig2",
-        ["chi", "theta2", "chi_tilde_aav", "chi_tilde_exact", "weak_value",
-         "port_intensity"],
-        rows,
-        grid,
-        n_photons=config.n_photons,
-        chi_values=chi_values,
-    )
+    sha = _config_sha256(config, "fig2", theta2_grid=grid,
+                         n_photons=config.n_photons, chi_values=chi_values)
+    return Table(["chi", "theta2", "chi_tilde_aav", "chi_tilde_exact", "weak_value",
+                  "port_intensity"], rows, sha)
 
 
 def run_fig3(config: RunConfig, workers: int = 1) -> Table:
@@ -192,7 +184,6 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
         stats = quadrature_stats_exact(params)
     except ZeroAmplitude:
         rows: list[list[object]] = [[m, None, None, None, None, None] for m in m_grid]
-        sentinels = len(rows)
     else:
         amp = chi_tilde_exact(params)
         mean = quadrature_mean(propagate_mzi(params).alpha_f, lo.effective_phase)
@@ -212,7 +203,6 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
         with ThreadPoolExecutor(min(_cpu_count(), len(order))) as pool:
             spreads = dict(zip(order, pool.map(batch_mean_spread, order)))
         rows = []
-        sentinels = 0
         for index, point in enumerate(points):
             std_mc = spreads[index]
             rows.append([
@@ -241,7 +231,6 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
         rows=rows,
         config_sha256=sha,
         seed=seed,
-        sentinel_rows=sentinels,
     )
 
 
@@ -267,17 +256,9 @@ def run_fig4(config: RunConfig, workers: int = 1) -> Table:
                 rows.append([theta2, n_photons, None, None, None])
             else:
                 rows.append([theta2, n_photons, fields[0], fields[1], fields[5]])
-    return _theta2_table(
-        config,
-        "fig4",
-        ["theta2", "n_photons", "n1", "n2", "eta_e"],
-        rows,
-        grid,
-        chi=chi,
-        lo=asdict(lo),
-        detector=asdict(det),
-        n_values=n_values,
-    )
+    sha = _config_sha256(config, "fig4", theta2_grid=grid, chi=chi, lo=asdict(lo),
+                         detector=asdict(det), n_values=n_values)
+    return Table(["theta2", "n_photons", "n1", "n2", "eta_e"], rows, sha)
 
 
 def run_single(config: RunConfig) -> dict:

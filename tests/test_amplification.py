@@ -30,7 +30,7 @@ from psamzi import (
     weak_value,
     wrap_angle,
 )
-from psamzi.amplification import IMAG_WARNING_RATIO
+from psamzi.amplification import IMAG_WARNING_RATIO, aav_phase
 
 SQ2 = math.sqrt(2.0)
 NEAR_DARK = math.pi / 4 - 0.003
@@ -122,6 +122,13 @@ class TestAavPhase:
         assert chi_tilde_aav(params).imag_warning
         wv = weak_value(math.pi / 4, 0.02)
         assert abs(wv.a_w.imag) > abs(wv.a_w.real)
+
+    def test_overflow_is_undefined(self):
+        # Re(a_w) * chi past the largest float has no phase: None in the
+        # stage, a ValueError naming the working point in the record call.
+        assert aav_phase([2.0, -1.0, None], 1e308) == [None, wrap_angle(-1e308), None]
+        with pytest.raises(ValueError, match=r"theta2=0\.5, chi=1e\+308"):
+            chi_tilde_aav(MziParams(theta2=0.5, chi=1e308, alpha=1.0 + 0j))
 
     def test_amplitude_scaling(self):
         amp = chi_tilde_aav(MziParams(theta2=0.6, chi=1e-4, alpha=10.0 + 0j))

@@ -156,15 +156,16 @@ class TestConfig:
         ({"lo": {"xi": 0.1}}, {}, "lo.beta_mag is required when lo is present"),
         ({"lo": {"beta_mag": 0}}, {}, "LO amplitude must be positive, got 0.0"),
         ({"lo": {"beta_mag": 1, "phase": 0}}, {}, "unknown lo keys: ['phase']"),
-        ({"detector": {"k_max": 1}}, {}, "detector requires both 'k_max' and 'n_sat'"),
+        ({"detector": {"k_max": 1}}, {},
+         "detector.n_sat is required when detector is present"),
         ({"detector": {"k_max": -1, "n_sat": 5}}, {},
          "detector parameters must be positive, got k_max=-1.0, n_sat=5.0"),
         ({"shots": {"runs": 1}}, {}, "shots.runs must be >= 2"),
-        ({"scan": {"variable": "m"}}, {}, "scan requires both 'variable' and 'grid'"),
+        ({"scan": {"variable": "m"}}, {}, "scan.grid is required when scan is present"),
         ({"scan": {"variable": "m", "grid": []}}, {},
          "scan.grid must be a nonempty list of numbers"),
         ({"scan": {"variable": "m", "grid": [1, "2"]}}, {},
-         "scan.grid must contain only numbers, got '2'"),
+         "scan.grid[1] must be a number, got '2'"),
         ({"scan": {"variable": "m", "grid": [1], "step": 1}}, {},
          "unknown scan keys: ['step']"),
         ({"output": {"precision": 0}}, {}, "output.precision must lie in [1, 17]"),
@@ -172,13 +173,27 @@ class TestConfig:
         ({"output": {"indent": 2}}, {}, "unknown output keys: ['indent']"),
         ({"chi_values": 0.1}, {}, "chi_values must be a nonempty list of numbers"),
         ({"chi_values": []}, {}, "chi_values must be a nonempty list of numbers"),
-        ({"n_values": [10, -1]}, {}, "n_values must be >= 0"),
+        ({"n_values": [10, -1]}, {}, "n_values[1] must be >= 0"),
         (None, {}, "config file not found: "),
         ({}, {"fmt": "xml"}, "format must be one of ('csv', 'json'), got 'xml'"),
         ({"shots": {"seed": -5}}, {}, "shots.seed must be >= 0"),
         ({}, {"seed": -1}, "seed must be >= 0"),
         ({"output": {"path": None}}, {}, "output.path must be a string, got None"),
         ({"output": {"path": 7}}, {}, "output.path must be a string, got 7"),
+        # Python's json reads NaN, which is not a finite number.
+        ({"mzi": {"chi": math.nan}}, {}, "mzi.chi must be finite, got nan"),
+        ({"lo": {}}, {}, "lo.beta_mag is required when lo is present"),
+        ({"detector": {"n_sat": 5}}, {},
+         "detector.k_max is required when detector is present"),
+        ({"scan": {"grid": [1]}}, {}, "scan.variable is required when scan is present"),
+        ({"chi_values": [0.1, math.inf]}, {}, "chi_values[1] must be finite, got inf"),
+        ({"scan": {"variable": "m", "grid": [1, 3, 2]}}, {},
+         "scan.grid must be strictly monotone"),
+        ({}, {"scan": ScanSpec("theta2", [math.nan])},
+         "scan.grid[0] must be finite, got nan"),
+        ({}, {"scan": ScanSpec("theta2", [0.2, 0.1, 0.3])},
+         "scan.grid must be strictly monotone"),
+        ({"detector": {"k_max": "x"}}, {}, "detector.k_max must be a number, got 'x'"),
     ])
     def test_rejection_messages(self, tmp_path, raw, overrides, message):
         path = tmp_path / "cfg.json"
@@ -574,6 +589,47 @@ class TestCli:
         main(["fig2", "--workers", "4", "--out", str(threaded)])
         assert serial.read_bytes() == threaded.read_bytes()
 
+    @pytest.mark.parametrize("argv, raw, message", [
+        (["fig2", "--scan", "theta2", "a", "1", "3"], None,
+         "bad --scan values: could not convert string to float: 'a'"),
+        (["fig2", "--scan", "theta2", "0", "1", "0"], None, "--scan POINTS must be >= 1"),
+        (["single"], {"mzi": {"theta2": 0.7}}, "mzi.chi is required for this run"),
+    ], ids=["scan not a number", "scan no points", "single without chi"])
+    def test_error_message_exit_2(self, tmp_path, capsys, argv, raw, message):
+        if raw is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(raw))
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+
+    def test_aav_overflow_fig2_exits_0(self, tmp_path):
+        # Re(a_w) * 1e308 overflows once a_w > 1.8: NA in chi_tilde_aav only.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chi_values": [1e308]}))
+        out = tmp_path / "fig2.csv"
+        assert main(["fig2", "--config", str(cfg), "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out)
+        aav = columns.index("chi_tilde_aav")
+        overflowed = [row for row in rows if row[aav] == "NA"]
+        assert 0 < len(overflowed) < len(rows) == DEFAULT_THETA2_GRID_POINTS
+        assert all(cell(row, columns, "weak_value") * 1e308 == math.inf
+                   for row in overflowed)
+        assert all(row.count("NA") == (row[aav] == "NA") for row in rows)
+        config = load_config(cfg)
+        assert run_fig2(config).sentinel_rows == 0
+
+    def test_aav_overflow_single_exits_0(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mzi": {"theta2": 0.5, "chi": 1e308}}))
+        assert main(["single", "--config", str(cfg)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["chi_tilde_aav"] is None
+        assert record["weak_value"] * 1e308 == math.inf
+        assert record["chi_tilde_exact"] is not None
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -751,6 +807,29 @@ class TestCli:
             == 1
         )
 
+    @pytest.mark.parametrize("edit, mismatch", [
+        (lambda e: e.update(extra=1.0), "missing key 'extra'"),
+        (lambda e: e.pop("snr"), "unexpected key 'snr'"),
+        (lambda e: e.update(chi_tilde_exact=None),
+         "chi_tilde_exact: expected None, got "),
+        (lambda e: e["saturation"].update(eta_e=e["saturation"]["eta_e"] * 1.001),
+         "saturation: expected {"),
+    ], ids=["missing key", "unexpected key", "null against number", "saturation field"])
+    def test_self_check_mismatch_names_key(self, tmp_path, capsys, edit, mismatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mzi": {"theta2": 0.7, "chi": 1e-3},
+                                   "detector": {"k_max": 450.0, "n_sat": 500.0}}))
+        record_path = tmp_path / "record.json"
+        assert main(["single", "--config", str(cfg), "--out", str(record_path)]) == 0
+        expected = json.loads(record_path.read_text())
+        edit(expected)
+        record_path.write_text(json.dumps(expected))
+        argv = ["single", "--config", str(cfg), "--self-check", str(record_path)]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"self-check mismatch: {mismatch}")
+
     @pytest.mark.parametrize("command", ["fig2", "fig4"])
     def test_grid_past_half_pi_exit_code(self, tmp_path, capsys, command):
         cfg = tmp_path / "det.json"
@@ -780,10 +859,19 @@ def test_render_csv_sentinel_token():
         columns=["a", "b"],
         rows=[[1.0, None]],
         config_sha256="deadbeef",
-        sentinel_rows=1,
     )
     text = render_csv(table, 3)
     assert "NA" in text.splitlines()[2]
+    assert table.sentinel_rows == 1
+
+
+def test_sentinel_rows_read_the_last_cell():
+    # fig2 leaves chi_tilde_aav NA on a row that is not a sentinel.
+    rows = [[1.0, None, 2.0], [1.0, 2.0, None], [None, None, None], [1.0, 2.0, 3.0]]
+    table = Table(columns=["a", "b", "c"], rows=rows, config_sha256="deadbeef")
+    assert table.sentinel_rows == 2
+    assert not table.sentinel_only
+    assert Table(["a"], [[None]], "deadbeef").sentinel_only
 
 
 DETECTOR = {"k_max": 450.0, "n_sat": 500.0}

@@ -111,6 +111,14 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "lo_1.3e154": {**STRONG, "lo": {"beta_mag": 1.3e154}},
         "lo_1.4e154": {**STRONG, "lo": {"beta_mag": 1.4e154}},
         "dark_zero_phase": {"mzi": {"theta2": DARK, "chi": 0.0}},
+        # Re(a_w) * 1e308 overflows where a_w > 1.8.
+        "chi_1e308": {"chi_values": [1e308]},
+        "aav_overflow": {"mzi": {"theta2": 0.5, "chi": 1e308}},
+        "lo_no_beta": {"lo": {"xi": 0.1}},
+        "detector_k_max": {"detector": {"k_max": 450.0}},
+        "scan_variable": {"scan": {"variable": "theta2"}},
+        # json writes and reads NaN, which is not a finite number.
+        "nan_chi": {"mzi": {"theta2": 0.7, "chi": math.nan}},
     }
     for n in DARK_EDGE_SINGLE_STEPS:
         objects[f"dark_edge_{n}"] = {"mzi": {"theta2": float_steps(DARK, n), "chi": 0.01},
@@ -199,6 +207,14 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
          ["fig4", "--config", f["det"], "--scan", "theta2", "1.5", "1.7", "5"]),
         ("fig2 scan over m", ["fig2", "--scan", "m", "1", "2", "2"]),
         ("fig3 m grid to 1e300", ["fig3", "--seed", "1", "--scan", "m", "1", "1e300", "2"]),
+        ("fig2 chi_values 1e308, default grid, csv",
+         ["fig2", "--config", f["chi_1e308"]] + FORMATS["csv"]),
+        ("single theta2 0.5, chi 1e308", ["single", "--config", f["aav_overflow"]]),
+        ("fig2 lo without beta_mag", ["fig2", "--config", f["lo_no_beta"]]),
+        ("fig4 detector with only k_max", ["fig4", "--config", f["detector_k_max"]]),
+        ("fig2 scan with only variable", ["fig2", "--config", f["scan_variable"]]),
+        ("single mzi.chi NaN", ["single", "--config", f["nan_chi"]]),
+        ("fig2 --scan not a number", ["fig2", "--scan", "theta2", "a", "1", "3"]),
     ]
     for fmt, fmt_args in FORMATS.items():
         out += [(f"{name} hoisted terms, 2001 angles through pi/4, {fmt}",
