@@ -11,13 +11,21 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DarkPointSingularity, NoRoot, ZeroAmplitude
 from .optics import MziParams, port_amplitudes, wrap_angle
 
+__all__ = ["AmplifiedPhase", "WeakValue", "chi_tilde_aav", "chi_tilde_exact",
+           "invert_chi", "invert_chi_branches", "weak_value"]
+
 DARK_OVERLAP_TOL = 1e-15
 ZERO_AMPLITUDE_TOL = 1e-15
+# Where invert_chi_branches' two branches merge, |tan(theta2) sin(gamma - chi_tilde)|
+# is 1; a forward chi_tilde's rounding lifts it past 1 by up to about 2 eps /
+# cos(theta2).  Twice that still counts as the merge.
+MERGE_ROUNDING = 4 * sys.float_info.epsilon
 
 # Fraction of the real part above which an imaginary weak-value component is
 # flagged as not extractable from a quadrature measurement.
@@ -107,6 +115,22 @@ def exact_phase(units: list[complex],
     return phases, mags
 
 
+def readout_phases(readouts: list[float], alpha_f_mags: list[float | None],
+                   k_max: float, n_sat: float) -> list[tuple[float, bool] | None]:
+    """Amplified phases asin(x N_sat / (k_max |alpha_f|)) of quadrature readouts.
+
+    A readout x through the small-signal gain k_max / N_sat is read as
+    (k_max / N_sat) |alpha_f| sin(chi_tilde).  The ratio is clipped into
+    [-1, 1] with a flag, so a noisy excursion is kept, not discarded; a NaN
+    ratio stays NaN and unflagged.  None where |alpha_f| vanishes, and where
+    it is None, a vanishing amplitude by ``exact_phase``'s rule.
+    """
+    return [None if mag is None or mag <= ZERO_AMPLITUDE_TOL
+            else (math.asin(min(max(ratio := x * n_sat / (k_max * mag), -1.0), 1.0)),
+                  abs(ratio) > 1.0)
+            for x, mag in zip(readouts, alpha_f_mags)]
+
+
 def weak_value(theta2: float, gamma: float = 0.0) -> WeakValue:
     """Weak value of the which-path projector for the postselected port.
 
@@ -171,9 +195,9 @@ def invert_chi_branches(
     sorted distinct roots, at most two, or () when there is none.
     """
     s = math.tan(theta2) * math.sin(gamma - chi_tilde_measured)
-    if abs(s) > 1.0:
+    if abs(s) > 1.0 + MERGE_ROUNDING / abs(math.cos(theta2)):
         return ()
-    offset = math.asin(s)
+    offset = math.asin(min(max(s, -1.0), 1.0))
     lead = math.sin(theta2) * math.cos(gamma - chi_tilde_measured)
     roots = {
         wrap_angle(chi_tilde_measured + d)

@@ -1,5 +1,8 @@
 """Exception types shared across the simulator."""
 
+__all__ = ["ConfigError", "DarkPointSingularity", "DomainError", "NoRoot",
+           "ZeroAmplitude", "ZeroSignal"]
+
 
 class ConfigError(Exception):
     """Run configuration is malformed or incomplete."""

@@ -16,6 +16,10 @@ from .amplification import AmplifiedPhase, chi_tilde_aav, chi_tilde_exact, inver
 from .errors import DomainError, ZeroSignal
 from .optics import MziParams
 
+__all__ = ["LoConfig", "QUADRATURE_STD", "QuadratureStats",
+           "modulation_error_compare", "quadrature_mean", "quadrature_stats_aav",
+           "quadrature_stats_exact", "rescaled_intensity"]
+
 # Quadrature standard deviation of any coherent state in this convention.
 QUADRATURE_STD = 0.5
 
@@ -29,6 +33,9 @@ class LoConfig:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.beta_mag, self.xi, self.delta))):
+            raise ValueError(f"LO beta_mag, xi and delta must be finite, got "
+                             f"beta_mag={self.beta_mag}, xi={self.xi}, delta={self.delta}")
         if self.beta_mag <= 0:
             raise ValueError(f"LO amplitude must be positive, got {self.beta_mag}")
 

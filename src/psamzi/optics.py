@@ -15,6 +15,10 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = ["MziParams", "PortFields", "bs_matrix", "bs_transform", "coherent_amplitude",
+           "intensity_difference", "phase_shift", "propagate_mzi", "wrap_angle"]
+
+
 def wrap_angle(phi: float) -> float:
     """Wrap an angle to the interval (-pi, pi]."""
     wrapped = math.remainder(phi, math.tau)

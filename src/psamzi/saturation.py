@@ -14,11 +14,14 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .amplification import (ZERO_AMPLITUDE_TOL, chi_tilde_exact, exact_phase,
-                            weak_value, weak_values)
+from .amplification import (chi_tilde_exact, exact_phase, readout_phases, weak_value,
+                            weak_values)
 from .errors import ZeroAmplitude, ZeroSignal
 from .homodyne import LoConfig, quadrature_means
 from .optics import MziParams, port_amplitudes
+
+__all__ = ["DetectorParams", "SaturationReport", "detector_counts", "detector_current",
+           "error_ratio", "invert_phase_linear_model", "saturated_quadrature"]
 
 
 @dataclass
@@ -29,6 +32,11 @@ class DetectorParams:
     n_sat: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.k_max, self.n_sat))):
+            raise ValueError(
+                f"detector parameters must be finite, got k_max={self.k_max}, "
+                f"n_sat={self.n_sat}"
+            )
         if self.k_max <= 0 or self.n_sat <= 0:
             raise ValueError(
                 f"detector parameters must be positive, got k_max={self.k_max}, "
@@ -120,29 +128,16 @@ def saturated_quadrature(
                                 det)[0]
 
 
-def _linear_inversions(x_measured: list[float], alpha_f_mags: list[float | None],
-                       det: DetectorParams) -> list[tuple[float, bool] | None]:
-    """``invert_phase_linear_model`` of each readout, None where |alpha_f| vanishes.
-
-    An |alpha_f| of None, a vanishing amplitude by ``exact_phase``'s rule, is
-    one too.
-    """
-    n_sat, k_max = det.n_sat, det.k_max
-    return [None if mag is None or mag <= ZERO_AMPLITUDE_TOL
-            else (math.asin(min(1.0, max(-1.0, arg := x * n_sat / (k_max * mag)))),
-                  abs(arg) > 1.0)
-            for x, mag in zip(x_measured, alpha_f_mags)]
-
-
 def invert_phase_linear_model(
     x_measured: float, alpha_f_mag: float, det: DetectorParams
 ) -> tuple[float, bool]:
     """Amplified phase inferred under the assumption of a linear detector.
 
     Returns (arcsin(x_measured / (alpha_f_mag * k_max / N_sat)), clamped);
-    the flag is set when the argument had to be clipped into [-1, 1].
+    the flag is set when the argument had to be clipped into [-1, 1].  A NaN
+    readout gives a NaN phase.
     """
-    inversion = _linear_inversions([x_measured], [alpha_f_mag], det)[0]
+    inversion = readout_phases([x_measured], [alpha_f_mag], det.k_max, det.n_sat)[0]
     if inversion is None:
         raise ZeroAmplitude("cannot invert the readout of a vanishing amplitude")
     return inversion
@@ -161,6 +156,8 @@ def error_ratio_fields(grid: list[float], chi: float, gamma: float,
     scale once per alpha and the LO terms once per run; ``error_ratio``
     takes the one point of a one-angle, one-alpha grid.  Points come one at
     a time, so a caller that keeps a few fields of each holds no others.
+    The inversion does not clamp beyond rounding: |x_saturated| N_sat / k_max
+    <= |x_bar| <= |alpha_f|.
     """
     darks = [point is None for point in weak_values(grid, gamma)]
     units = port_amplitudes(grid, [chi], gamma)[0]
@@ -174,8 +171,9 @@ def error_ratio_fields(grid: list[float], chi: float, gamma: float,
         counts = _count_pairs(lo.beta_mag, xi, alpha_fs)
         x_bars = quadrature_means(alpha_fs, xi)
         x_sats = _current_differences(lo.beta_mag, counts, x_bars, det)
+        inversions = readout_phases(x_sats, mags, det.k_max, det.n_sat)
         for (n1, n2), x_bar, x_sat, inversion, chi_tilde, dark in zip(
-            counts, x_bars, x_sats, _linear_inversions(x_sats, mags, det), phases, darks
+            counts, x_bars, x_sats, inversions, phases, darks
         ):
             if dark or inversion is None or chi_tilde == 0.0:
                 yield None

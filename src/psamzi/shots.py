@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .amplification import ZERO_AMPLITUDE_TOL, chi_tilde_exact, invert_chi
+from .amplification import chi_tilde_exact, invert_chi, readout_phases
 from .errors import ZeroAmplitude
 from .homodyne import QUADRATURE_STD, QuadratureStats, phase_slope, quadrature_mean
 from .optics import MziParams
@@ -20,9 +20,18 @@ from .optics import MziParams
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = ["ChiEstimate", "UncertaintyPoint", "averaged_stats", "estimate_chi_from_run",
+           "sample_shots", "uncertainty_vs_m"]
+
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_shot_count(m: object) -> None:
+    """The one shot-count rule: an int, not a bool, of at least 1."""
+    if not _is_int(m) or m < 1:
+        raise ValueError(f"shot count must be an integer >= 1, got {m!r}")
 
 
 @dataclass
@@ -44,8 +53,7 @@ def sample_shots(alpha_f: complex, xi: float, m: int, seed: int) -> np.ndarray:
     The whole batch is drawn in one vectorized pass from a generator seeded by
     ``seed``, so the same arguments give the same samples, bit for bit.
     """
-    if not _is_int(m) or m < 1:
-        raise ValueError(f"shot count must be an integer >= 1, got {m!r}")
+    _check_shot_count(m)
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     import numpy as np
@@ -73,8 +81,7 @@ def averaged_stats(m: int, base: QuadratureStats) -> QuadratureStats:
     The mean is unchanged; fluctuation shrinks by 1/sqrt(M), so SNR and
     sensitivity grow by sqrt(M).
     """
-    if m < 1:
-        raise ValueError(f"shot count must be >= 1, got {m}")
+    _check_shot_count(m)
     root_m = math.sqrt(m)
     return QuadratureStats(
         mean=base.mean,
@@ -91,13 +98,18 @@ def estimate_chi_from_run(
 
     chi_tilde_hat = arcsin(mean(samples) / alpha_f_mag), clipped to [-1, 1] with
     a flag rather than discarding noisy runs, then mapped back through the
-    exact forward relation.
+    exact forward relation.  Raises ValueError for an empty batch or a
+    non-finite sample mean.
     """
-    if alpha_f_mag <= ZERO_AMPLITUDE_TOL:
+    if samples.size == 0:
+        raise ValueError("samples must hold at least one shot")
+    mean = float(samples.mean())
+    if not math.isfinite(mean):
+        raise ValueError(f"the sample mean must be finite, got {mean}")
+    inversion = readout_phases([mean], [alpha_f_mag], 1.0, 1.0)[0]
+    if inversion is None:
         raise ZeroAmplitude("cannot normalize samples by a vanishing amplitude")
-    ratio = float(samples.mean()) / alpha_f_mag
-    clamped = abs(ratio) > 1.0
-    chi_tilde_hat = math.asin(min(1.0, max(-1.0, ratio)))
+    chi_tilde_hat, clamped = inversion
     return ChiEstimate(
         chi_tilde_hat=chi_tilde_hat,
         chi_hat=invert_chi(chi_tilde_hat, theta2, gamma),
@@ -123,8 +135,8 @@ def uncertainty_vs_m(params: MziParams, m_grid: list[int]) -> list[UncertaintyPo
     """
     if not m_grid:
         raise ValueError("m_grid must be nonempty")
-    if not all(_is_int(m) and m >= 1 for m in m_grid):
-        raise ValueError(f"every entry of m_grid must be an integer >= 1, got {m_grid!r}")
+    for m in m_grid:
+        _check_shot_count(m)
     amp = chi_tilde_exact(params)
     slope = phase_slope(amp)
     single_shot = QUADRATURE_STD / slope if slope > 0 else math.inf

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psamzi
 from psamzi import (
@@ -30,6 +32,7 @@ from psamzi import (
     weak_value,
     wrap_angle,
 )
+from psamzi import amplification, errors, homodyne, optics, saturation, shots
 from psamzi.amplification import IMAG_WARNING_RATIO, aav_phase
 
 SQ2 = math.sqrt(2.0)
@@ -372,10 +375,37 @@ class TestInvertChi:
             assert len(branches) == 1
             assert abs(branches[0] - chi) < 1e-10
 
+    def test_merged_branches_survive_rounding(self):
+        # At a merge of the two branches, chi_tilde's rounding lifts
+        # |tan(theta2) sin(gamma - chi_tilde)| to 1 + 2**-52; that is no NoRoot.
+        theta2, chi, gamma = 0.8365602745041751, 1.1774261424620263, 1.6225084893386965
+        measured = _forward(theta2, chi, gamma)
+        assert abs(math.tan(theta2) * math.sin(gamma - measured)) > 1.0
+        assert abs(invert_chi(measured, theta2, gamma) - chi) < 1e-7
+
     def test_no_branch(self):
         assert invert_chi_branches(3.0, 0.3) == ()
         # |tan(theta2) * sin(gamma - chi_tilde)| > 1: not even a candidate.
         assert invert_chi_branches(-1.2, 1.3) == ()
+
+    # theta2 on both sides of the dark angle keeps 1e-3 from it, where the
+    # amplitude can vanish, and from pi/2, where the port no longer depends on
+    # chi.  chi keeps 1e-9 inside +-pi/2: a root within rounding of the edge
+    # rounds onto it, and the open interval drops it.
+    BOTH_SIDES = (st.floats(0.0, math.pi / 4 - 1e-3)
+                  | st.floats(math.pi / 4 + 1e-3, math.pi / 2 - 1e-3))
+
+    @settings(derandomize=True, database=None, max_examples=1000)
+    @given(BOTH_SIDES, st.floats(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9),
+           st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+    def test_branches_contain_true_chi(self, theta2, chi, gamma, input_phase):
+        params = MziParams(theta2=theta2, chi=chi, gamma=gamma,
+                           alpha=coherent_amplitude(100.0, input_phase))
+        branches = invert_chi_branches(chi_tilde_exact(params).chi_tilde, theta2, gamma)
+        # Where two branches merge, past the dark angle, a root is fixed only
+        # to about sqrt(eps / cos(theta2)).
+        tol = 8 * math.sqrt(sys.float_info.epsilon / math.cos(theta2))
+        assert min(abs(b - chi) for b in branches) < tol
 
 
 def test_import_pulls_no_scipy():
@@ -415,6 +445,32 @@ def test_public_annotations_resolve():
             typing.get_type_hints(obj, globalns=_type_checking_namespace(module))
 
 
+def _top_level_names(module):
+    """The names ``module`` binds itself: its classes, functions and assignments."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets
+                         if isinstance(target, ast.Name))
+    return names
+
+
+def test_each_public_name_is_listed_once():
+    # Each library module lists its own public names; the package exports
+    # their sorted union, and ``from psamzi import *`` binds exactly that.
+    modules = [amplification, errors, homodyne, optics, saturation, shots]
+    listed = [name for module in modules for name in module.__all__]
+    assert len(listed) == len(set(listed))
+    assert psamzi.__all__ == sorted(listed)
+    for module in modules:
+        assert set(module.__all__) <= _top_level_names(module), module.__name__
+    namespace = {}
+    exec("from psamzi import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(psamzi.__all__)
+
+
 def _imported_packages(args, cwd):
     """Run a fresh interpreter under ``-X importtime``; return it and its top packages."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -435,6 +491,7 @@ def _imported_packages(args, cwd):
 
 @pytest.mark.parametrize("args", [
     ["-c", "import psamzi"],
+    ["-c", "from psamzi import *"],
     ["-c", "import psamzi.cli"],
     ["-m", "psamzi.cli", "fig2"],
     ["-m", "psamzi.cli", "fig2", "--scan", "theta2", "0.6", "0.95", "2001"],

@@ -267,3 +267,13 @@ def test_lo_effective_phase_and_validation():
     assert math.isclose(lo.effective_phase, 0.35, rel_tol=1e-14)
     with pytest.raises(ValueError):
         LoConfig(beta_mag=0.0, xi=0.0)
+
+
+@pytest.mark.parametrize("beta_mag, xi, delta", [
+    (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (3.0, math.nan, 0.0), (3.0, 0.0, -math.inf),
+])
+def test_lo_rejects_non_finite(beta_mag, xi, delta):
+    # A NaN LO amplitude used to pass the positivity check and reach the
+    # saturation chain as a NaN readout.
+    with pytest.raises(ValueError, match="LO beta_mag, xi and delta must be finite"):
+        LoConfig(beta_mag=beta_mag, xi=xi, delta=delta)

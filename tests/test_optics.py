@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psamzi import (
     MziParams,
@@ -20,6 +22,15 @@ from psamzi import (
 from oracles import matrix_oracle
 
 SQ2 = math.sqrt(2.0)
+
+# Whole-domain working points: theta2 on both sides of the dark angle pi/4,
+# any chi and gamma, and an input amplitude of any phase.
+ANGLES = st.floats(-math.pi, math.pi)
+WORKING_POINTS = st.builds(
+    lambda theta2, chi, gamma, n_photons, phase: MziParams(
+        theta2=theta2, chi=chi, gamma=gamma, alpha=coherent_amplitude(n_photons, phase)),
+    st.floats(0.0, math.pi / 2), ANGLES, ANGLES, st.floats(1e-4, 2500.0), ANGLES,
+)
 
 
 class TestBeamSplitter:
@@ -103,32 +114,21 @@ class TestPropagation:
         assert abs(fields.alpha_f - oracle_f) < 1e-12
         assert abs(fields.alpha_fbar - oracle_fbar) < 1e-12
 
-    def test_closed_form_equals_composition(self):
-        rng = np.random.default_rng(14)
-        for _ in range(1000):
-            theta2 = rng.uniform(0, math.pi / 2)
-            gamma = rng.uniform(-math.pi, math.pi)
-            chi = rng.uniform(-math.pi, math.pi)
-            alpha = complex(rng.normal(), rng.normal()) * rng.uniform(0.1, 20)
-            fields = propagate_mzi(
-                MziParams(theta2=theta2, chi=chi, alpha=alpha, gamma=gamma)
-            )
-            oracle_f, oracle_fbar = matrix_oracle(theta2, gamma, chi, alpha)
-            assert abs(fields.alpha_f - oracle_f) < 1e-12
-            assert abs(fields.alpha_fbar - oracle_fbar) < 1e-12
+    @settings(derandomize=True, database=None, max_examples=1000)
+    @given(WORKING_POINTS)
+    def test_closed_form_equals_composition(self, params):
+        fields = propagate_mzi(params)
+        oracle_f, oracle_fbar = matrix_oracle(params.theta2, params.gamma, params.chi,
+                                              params.alpha)
+        assert abs(fields.alpha_f - oracle_f) < 1e-12
+        assert abs(fields.alpha_fbar - oracle_fbar) < 1e-12
 
-    def test_energy_conservation(self):
-        rng = np.random.default_rng(15)
-        for _ in range(1000):
-            params = MziParams(
-                theta2=rng.uniform(0, math.pi / 2),
-                chi=rng.uniform(-math.pi, math.pi),
-                alpha=complex(rng.normal(), rng.normal()) * rng.uniform(0.01, 50),
-                gamma=rng.uniform(-math.pi, math.pi),
-            )
-            fields = propagate_mzi(params)
-            total = fields.intensity_f + fields.intensity_fbar
-            assert abs(total - params.n_photons) <= 1e-12 * params.n_photons
+    @settings(derandomize=True, database=None, max_examples=1000)
+    @given(WORKING_POINTS)
+    def test_energy_conservation(self, params):
+        fields = propagate_mzi(params)
+        total = fields.intensity_f + fields.intensity_fbar
+        assert abs(total - params.n_photons) <= 1e-12 * params.n_photons
 
     def test_phase_covariance(self):
         rng = np.random.default_rng(16)

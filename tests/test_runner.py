@@ -1075,6 +1075,19 @@ class TestThetaGridEdges:
                            match=re.escape(f"theta2 must lie in [0, pi/2], got {bad}")):
             runner(config)
 
+    @pytest.mark.parametrize("runner", [run_fig2, run_fig4], ids=["fig2", "fig4"])
+    @pytest.mark.parametrize("field, value", [("n_photons", math.nan), ("gamma", math.inf),
+                                              ("input_phase", math.nan)])
+    def test_first_angle_build_rejects_non_finite(self, runner, field, value):
+        # A hand-built RunConfig skips the config loader's number checks; the
+        # working point built at the first angle is the check that remains.
+        # Without it fig2 writes NaN rows.
+        config = RunConfig(lo=LoConfig(beta_mag=DEFAULT_BETA_MAG, xi=math.pi / 2),
+                           detector=DetectorParams(**DETECTOR),
+                           scan=ScanSpec("theta2", [0.5, 0.6]), **{field: value})
+        with pytest.raises(ConfigError, match="chi, gamma and alpha must be finite"):
+            runner(config)
+
     @pytest.mark.parametrize("runner, sha", [
         (run_fig2, "eed846dfcc8c8a135e1ac21314a0ae13178fe35f454d1a0986ed6f566c0e5ade"),
         (run_fig4, "66495e97ce7759f49c57ff345edd580054b42161c3b1a4914f5183003d18adb7"),

@@ -17,6 +17,7 @@ from psamzi import (
     ZeroAmplitude,
     ZeroSignal,
     chi_tilde_exact,
+    coherent_amplitude,
     detector_counts,
     detector_current,
     error_ratio,
@@ -25,6 +26,7 @@ from psamzi import (
     quadrature_mean,
     saturated_quadrature,
 )
+from psamzi.saturation import error_ratio_fields
 
 FIG4_DETECTOR = DetectorParams(k_max=450.0, n_sat=500.0)
 FIG4_LO = LoConfig(beta_mag=math.sqrt(10.0), xi=math.pi / 2)
@@ -83,6 +85,14 @@ class TestDetectorCurrent:
             detector_current(-1.0, FIG4_DETECTOR)
         with pytest.raises(ValueError):
             DetectorParams(k_max=0.0, n_sat=1.0)
+
+    @pytest.mark.parametrize("k_max, n_sat", [(math.nan, 500.0), (math.inf, math.inf),
+                                              (450.0, math.nan)])
+    def test_rejects_non_finite(self, k_max, n_sat):
+        # A NaN k_max used to give error_ratio a finite eta_e and a
+        # chi_tilde_biased of -pi/2.
+        with pytest.raises(ValueError, match="detector parameters must be finite"):
+            DetectorParams(k_max=k_max, n_sat=n_sat)
 
 
 class TestDetectorCounts:
@@ -239,6 +249,34 @@ class TestLinearInversion:
     def test_rejects_zero_amplitude(self):
         with pytest.raises(ZeroAmplitude):
             invert_phase_linear_model(0.1, 0.0, FIG4_DETECTOR)
+
+    def test_nan_readout_is_not_clipped(self):
+        # max(-1.0, nan) is -1.0: a NaN ratio used to read as -pi/2, unflagged.
+        recovered, clamped = invert_phase_linear_model(math.nan, 1.0, FIG4_DETECTOR)
+        assert math.isnan(recovered)
+        assert not clamped
+
+    def test_scan_inversion_does_not_clamp(self):
+        # |x_saturated| N_sat / k_max <= |x_bar| <= |alpha_f|, since -expm1(-y) <= y
+        # and exp(-min(n1, n2) / N_sat) <= 1, so the ratio error_ratio_fields
+        # inverts stays in [-1, 1].  Rounding alone can pass 1, by an ulp, with
+        # the LO phase-locked to the port field and N_sat above ~1e14 |alpha_f|^2.
+        rng = random.Random(24)
+        points = 0
+        for _ in range(300):
+            lo = LoConfig(beta_mag=10.0 ** rng.uniform(-2.0, 3.0),
+                          xi=rng.uniform(-math.pi, math.pi), delta=rng.uniform(-0.1, 0.1))
+            det = DetectorParams(k_max=10.0 ** rng.uniform(-2.0, 4.0),
+                                 n_sat=10.0 ** rng.uniform(-1.0, 6.0))
+            alphas = [coherent_amplitude(10.0 ** rng.uniform(-2.0, 5.0),
+                                         rng.uniform(-math.pi, math.pi))]
+            grid = [rng.uniform(0.0, math.pi / 2) for _ in range(50)]
+            for fields in error_ratio_fields(grid, rng.uniform(-1.5, 1.5),
+                                             rng.uniform(-math.pi, math.pi), alphas, lo, det):
+                if fields is not None:
+                    points += 1
+                    assert not fields[-1]
+        assert points == 15_000
 
     def test_zero_amplitude_boundary(self):
         # An |alpha_f| equal to the tolerance vanishes; twice it does not.

@@ -118,6 +118,12 @@ class TestAveraging:
         with pytest.raises(ValueError):
             averaged_stats(0, QuadratureStats(0.0, 0.5, 0.0, 0.0))
 
+    @pytest.mark.parametrize("m", [math.nan, True, 4.0])
+    def test_rejects_non_integer_count(self, m):
+        # A NaN count used to give NaN statistics; the rule is sample_shots'.
+        with pytest.raises(ValueError, match="shot count must be an integer >= 1"):
+            averaged_stats(m, QuadratureStats(0.2, 0.5, 0.4, 0.06))
+
 
 class TestEstimator:
     def test_noiseless_round_trip(self):
@@ -148,6 +154,17 @@ class TestEstimator:
         samples = sample_shots(0.0 + 0j, 0.0, 10, seed=3)
         with pytest.raises(ZeroAmplitude):
             estimate_chi_from_run(samples, 0.0, NEAR_DARK)
+
+    @pytest.mark.parametrize("samples, message", [
+        ([], "samples must hold at least one shot"),
+        ([0.1, math.nan], "the sample mean must be finite, got nan"),
+        ([math.inf, 0.1], "the sample mean must be finite, got inf"),
+    ])
+    def test_rejects_empty_or_non_finite_batch(self, samples, message):
+        # An empty batch's mean warned and read as -pi/2; a NaN one reached
+        # invert_chi as NaN.
+        with pytest.raises(ValueError, match=message):
+            estimate_chi_from_run(np.array(samples), 1.0, NEAR_DARK)
 
     def test_readme_library_example(self):
         # The README's "Library use" block runs as written and prints the
