@@ -26,6 +26,14 @@ ZERO_AMPLITUDE_TOL = 1e-15
 # is 1; a forward chi_tilde's rounding lifts it past 1 by up to about 2 eps /
 # cos(theta2).  Twice that still counts as the merge.
 MERGE_ROUNDING = 4 * sys.float_info.epsilon
+# invert_chi_branches' root chi_tilde + d moves by (arm - lead) / arm times
+# chi_tilde's rounding, with arm = cos(theta2) cos(d), and by the sum's own
+# rounding, so a true chi near +-pi/2 can land past the edge.  A root past it by
+# at most EDGE_ROUNDING (1 + (arm - lead) / |arm|) is kept and moved onto the
+# edge, unless it is past by more than sqrt(EDGE_ROUNDING / cos(theta2)), the
+# spread of a merged root.  The float pi/2 lies below the true one, so the edge
+# is a bare phase.
+EDGE_ROUNDING = 8 * sys.float_info.epsilon
 
 # Fraction of the real part above which an imaginary weak-value component is
 # flagged as not extractable from a quadrature measurement.
@@ -191,20 +199,26 @@ def invert_chi_branches(
     sin(chi - chi_tilde) = tan(theta2) * sin(gamma - chi_tilde), with
     Re(alpha_f * exp(-i chi_tilde)) > 0.  The two asin branches of the first
     condition are kept when they satisfy the second.  Below the dark point
-    (theta2 < pi/4) at most one survives; past it both can.  Returns the
-    sorted distinct roots, at most two, or () when there is none.
+    (theta2 < pi/4) at most one survives; past it both can.  A root that
+    rounding puts just past +-pi/2 is returned on the edge (EDGE_ROUNDING).
+    Returns the sorted distinct roots, at most two, or () when there is none.
     """
     s = math.tan(theta2) * math.sin(gamma - chi_tilde_measured)
     if abs(s) > 1.0 + MERGE_ROUNDING / abs(math.cos(theta2)):
         return ()
     offset = math.asin(min(max(s, -1.0), 1.0))
     lead = math.sin(theta2) * math.cos(gamma - chi_tilde_measured)
-    roots = {
-        wrap_angle(chi_tilde_measured + d)
-        for d in (offset, math.pi - offset)
-        if math.cos(theta2) * math.cos(d) > lead
-    }
-    return tuple(sorted(r for r in roots if abs(r) < math.pi / 2))
+    edge = math.pi / 2
+    merged = math.sqrt(EDGE_ROUNDING / abs(math.cos(theta2)))
+    roots = set()
+    for d in (offset, math.pi - offset):
+        arm = math.cos(theta2) * math.cos(d)
+        root = wrap_angle(chi_tilde_measured + d)
+        past = abs(root) - edge
+        if (arm > lead and past <= merged
+                and past * abs(arm) <= EDGE_ROUNDING * (abs(arm) + arm - lead)):
+            roots.add(min(max(root, -edge), edge))
+    return tuple(sorted(roots))
 
 
 def invert_chi(chi_tilde_measured: float, theta2: float, gamma: float = 0.0) -> float:

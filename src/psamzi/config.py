@@ -51,6 +51,7 @@ class RunConfig:
     ``theta2`` and ``chi`` stay None when the config omits them; each runner
     either scans them, fills its own documented default, or rejects the run.
     ``lo`` is the configured LO, or the default one phased for peak sensitivity.
+    ``keys`` names each key the file and the flags set, such as ``mzi.chi``.
     """
 
     lo: LoConfig
@@ -65,6 +66,7 @@ class RunConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
     chi_values: list[float] | None = None
     n_values: list[float] | None = None
+    keys: tuple[str, ...] = ()
 
     def mzi_params(self, theta2: float | None = None,
                    chi: float | None = None) -> MziParams:
@@ -99,9 +101,14 @@ def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
 def _number(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite, got an integer of "
+                          f"{len(str(value))} digits") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _integer(value: object, name: str) -> int:
@@ -235,6 +242,8 @@ def read_json_object(path: str | Path, what: str) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {file_path}: {exc}") from exc
+    except ValueError as exc:  # an integer too long for int()
+        raise ConfigError(f"cannot read {what} file {file_path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} root must be a JSON object")
     return raw
@@ -277,6 +286,9 @@ def load_config(
         shots=ShotSpec(**shots),
         scan=ScanSpec(**scan_values) if scan_values else None,
         output=OutputSpec(**output),
+        keys=(*(f"{name}.{key}" for name, values
+                in zip(_SECTIONS, (mzi, lo, det, shots, scan_values, output))
+                for key in values), *lists),
     )
     if config.detector is not None:
         n_max = max([config.n_photons, *(config.n_values or [])])

@@ -71,6 +71,28 @@ def default_theta2_grid() -> list[float]:
     )
 
 
+# Each subcommand's scan variable and the config keys it reads, a section name
+# standing for all of its keys: the keys it hashes, plus output.path,
+# output.format and scan.variable, which change no data byte.
+_READS = {
+    "fig2": ("theta2", "mzi.gamma mzi.n_photons mzi.input_phase chi_values scan output"),
+    "fig3": ("m", "mzi lo shots scan output"),
+    "fig4": ("theta2", "mzi.chi mzi.gamma mzi.input_phase lo detector n_values scan output"),
+    "single": (None, "mzi lo detector output.path output.precision"),
+}
+
+
+def _check_reads(config: RunConfig, figure: str) -> None:
+    """Reject the first key that ``figure`` does not read, then a scan of another variable."""
+    variable, reads = _READS[figure][0], _READS[figure][1].split()
+    for key in config.keys:
+        if key not in reads and key.split(".")[0] not in reads:
+            raise ConfigError(f"{figure} does not read {key}; it reads {', '.join(reads)}")
+    if config.scan is not None and config.scan.variable != variable:
+        raise ConfigError(f"{figure} scans {variable or 'nothing'}, "
+                          f"got scan variable {config.scan.variable!r}")
+
+
 def _config_sha256(config: RunConfig, figure: str, **resolved: object) -> str:
     """Hash of the fully resolved parameters of one run, shared keys included."""
     # The 50:50 first splitter stays in the hash so every hash keeps its bytes.
@@ -79,25 +101,13 @@ def _config_sha256(config: RunConfig, figure: str, **resolved: object) -> str:
     return config_hash({**shared, **resolved})
 
 
-def _scan_grid(config: RunConfig, figure: str, variable: str,
-               default: list[float]) -> list[float]:
-    """The run's scan grid over ``variable``, or ``default`` when it sets no scan."""
-    if config.scan is None:
-        return default
-    if config.scan.variable != variable:
-        raise ConfigError(
-            f"{figure} scans {variable}, got scan variable {config.scan.variable!r}"
-        )
-    return list(config.scan.grid)
-
-
-def _theta2_grid(config: RunConfig, figure: str) -> list[float]:
+def _theta2_grid(config: RunConfig) -> list[float]:
     """The run's theta2 grid, each angle checked by MziParams' range rule.
 
     The working point is built once, at the first angle; the first angle out
     of range, if any, raises that rule's ConfigError.
     """
-    grid = _scan_grid(config, figure, "theta2", default_theta2_grid())
+    grid = default_theta2_grid() if config.scan is None else list(config.scan.grid)
     if grid:
         config.mzi_params(theta2=grid[0], chi=0.0)
     for theta2 in grid:
@@ -122,10 +132,11 @@ def run_fig2(config: RunConfig, workers: int = 1) -> Table:
     in ``chi_tilde_aav`` alone where Re(a_w) * chi overflows.
     ``workers`` is accepted for compatibility and has no effect.
     """
+    _check_reads(config, "fig2")
     chi_values = config.chi_values or list(DEFAULT_CHI_VALUES)
     gamma = config.gamma
     alpha_mag = abs(coherent_amplitude(config.n_photons, config.input_phase))
-    grid = _theta2_grid(config, "fig2")
+    grid = _theta2_grid(config)
     a_ws = [None if point is None else point[3].real
             for point in weak_values(grid, gamma)]
     rows: list[list[object]] = []
@@ -158,11 +169,13 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     drawn.
     ``workers`` is accepted for compatibility and has no effect.
     """
+    _check_reads(config, "fig3")
     from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
 
-    m_grid = [int(round(x)) for x in _scan_grid(config, "fig3", "m", DEFAULT_M_GRID)]
+    grid = DEFAULT_M_GRID if config.scan is None else config.scan.grid
+    m_grid = [int(round(x)) for x in grid]
     if not all(1 <= m <= MAX_SHOTS for m in m_grid):
         raise ConfigError(f"fig3 m grid entries must lie in [1, {MAX_SHOTS}]")
     if not strictly_monotone(m_grid):
@@ -239,13 +252,14 @@ def run_fig4(config: RunConfig, workers: int = 1) -> Table:
 
     ``workers`` is accepted for compatibility and has no effect.
     """
+    _check_reads(config, "fig4")
     if config.detector is None:
         raise ConfigError("fig4 needs a detector block (k_max, n_sat)")
     n_values = config.n_values or list(DEFAULT_N_VALUES)
     chi = config.chi if config.chi is not None else FIG4_DEFAULT_CHI
     lo = config.lo
     det = config.detector
-    grid = _theta2_grid(config, "fig4")
+    grid = _theta2_grid(config)
     alphas = [coherent_amplitude(n, config.input_phase) for n in n_values]
     points = error_ratio_fields(grid, chi, config.gamma, alphas, lo, det)
     rows: list[list[object]] = []
@@ -268,8 +282,7 @@ def run_single(config: RunConfig) -> dict:
     saturation bias at an exact dark point, phase of a vanishing amplitude)
     are emitted as null, by the same rule as fig4's sentinel rows.
     """
-    if config.scan is not None:
-        raise ConfigError("single takes no scan block")
+    _check_reads(config, "single")
     params = config.mzi_params()
     lo = config.lo
     fields = propagate_mzi(params)

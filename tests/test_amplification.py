@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psamzi
@@ -271,6 +271,31 @@ class TestExactPhase:
             steps = np.abs(np.diff(phases))
             assert steps.max() < 0.2
 
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(st.floats(0.01, math.pi / 4 - 1e-3) | st.floats(math.pi / 4 + 1e-3, 1.5),
+           st.floats(0.01, math.pi - 0.01) | st.floats(-math.pi + 0.01, -0.01))
+    def test_wrap_jumps_by_two_pi(self, theta2, gamma):
+        # The port amplitude e^{i chi} cos(theta2) - e^{i gamma} sin(theta2)
+        # crosses the negative real axis where sin(chi) = tan(theta2) sin(gamma)
+        # and its real part is negative.  Across such a chi, chi_tilde jumps by
+        # 2 pi plus the turn of the amplitude, which the ratio of the two
+        # amplitudes gives without a wrap.  |sin(chi)| keeps 1e-3 below 1, so
+        # asin fixes each crossing far inside the 2e-9 step.
+        def unit(chi):
+            return (cmath.exp(1j * chi) * math.cos(theta2)
+                    - cmath.exp(1j * gamma) * math.sin(theta2))
+
+        s = math.tan(theta2) * math.sin(gamma)
+        assume(abs(s) < 1 - 1e-3)
+        crossings = [chi for chi in (math.asin(s), math.pi - math.asin(s))
+                     if unit(chi).real < 0]
+        assume(crossings)
+        for chi in crossings:
+            below, above = chi - 1e-9, chi + 1e-9
+            jump = _forward(theta2, above, gamma) - _forward(theta2, below, gamma)
+            turn = cmath.phase(unit(above) / unit(below))
+            assert abs(abs(jump - turn) - 2 * math.pi) < 1e-13
+
     def test_aav_error_vanishes_quadratically(self):
         # The relative gap to the weak-value prediction shrinks ~ chi^2 at
         # gamma = 0 (the gap is even in chi), dominated by chi_tilde^2 / 3.
@@ -388,15 +413,37 @@ class TestInvertChi:
         # |tan(theta2) * sin(gamma - chi_tilde)| > 1: not even a candidate.
         assert invert_chi_branches(-1.2, 1.3) == ()
 
+    @pytest.mark.parametrize("theta2, chi, gamma", [
+        # chi two float steps inside -pi/2: its root rounds onto the edge.
+        (1.0, -1.5707963267948961, -1.0),
+        # Past the dark angle, where the root barely moves with chi_tilde, the
+        # rounding of chi_tilde + d alone puts it six steps past pi/2.
+        (0.7973121765196161, 1.5707963267948952, 1.469368665203878),
+    ])
+    def test_root_on_the_edge_survives_rounding(self, theta2, chi, gamma):
+        edge = math.copysign(math.pi / 2, chi)
+        assert edge in invert_chi_branches(_forward(theta2, chi, gamma), theta2, gamma)
+
+    def test_merged_root_past_the_edge_is_none(self):
+        # A merge of the two branches at chi = 2.13, past pi/2, where
+        # tan(theta2) sin(gamma - chi_tilde) rounds past 1: the clipped asin
+        # fixes the root's gain to about 1e-16, yet the root is no bare phase.
+        theta2, gamma = 1.0, 3.0
+        measured = gamma - math.pi + math.asin(1.0 / math.tan(theta2))
+        for _ in range(2):
+            measured = math.nextafter(measured, math.inf)
+        assert math.tan(theta2) * math.sin(gamma - measured) > 1.0
+        assert invert_chi_branches(measured, theta2, gamma) == ()
+
     # theta2 on both sides of the dark angle keeps 1e-3 from it, where the
     # amplitude can vanish, and from pi/2, where the port no longer depends on
-    # chi.  chi keeps 1e-9 inside +-pi/2: a root within rounding of the edge
-    # rounds onto it, and the open interval drops it.
+    # chi.  chi spans the float interval [-pi/2, pi/2], whose ends lie inside
+    # the true open one; a root rounded past an end is kept on it.
     BOTH_SIDES = (st.floats(0.0, math.pi / 4 - 1e-3)
                   | st.floats(math.pi / 4 + 1e-3, math.pi / 2 - 1e-3))
 
     @settings(derandomize=True, database=None, max_examples=1000)
-    @given(BOTH_SIDES, st.floats(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9),
+    @given(BOTH_SIDES, st.floats(-math.pi / 2, math.pi / 2),
            st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
     def test_branches_contain_true_chi(self, theta2, chi, gamma, input_phase):
         params = MziParams(theta2=theta2, chi=chi, gamma=gamma,

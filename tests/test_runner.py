@@ -34,6 +34,8 @@ from psamzi import (
 )
 from psamzi.cli import main
 from psamzi.config import (
+    _LISTS,
+    _REQUIRED,
     _SECTIONS,
     _TOP_KEYS,
     DEFAULT_BETA_MAG,
@@ -194,12 +196,20 @@ class TestConfig:
         ({}, {"scan": ScanSpec("theta2", [0.2, 0.1, 0.3])},
          "scan.grid must be strictly monotone"),
         ({"detector": {"k_max": "x"}}, {}, "detector.k_max must be a number, got 'x'"),
+        # An integer past the largest float, and one too long for int() (a str
+        # is the file's text).
+        ({"mzi": {"chi": 10**400}}, {}, "mzi.chi must be finite, got an integer of 401 digits"),
+        ({"n_values": [1, -10**400]}, {},
+         "n_values[1] must be finite, got an integer of 402 digits"),
+        pytest.param('{"mzi": {"chi": 1' + "0" * 4300 + "}}", {},
+                     "cannot read config file {path}: Exceeds the limit (4300 digits)",
+                     id="integer past int()"),
     ])
     def test_rejection_messages(self, tmp_path, raw, overrides, message):
         path = tmp_path / "cfg.json"
         if raw is not None:
-            path.write_text(json.dumps(raw))
-        with pytest.raises(ConfigError, match=re.escape(message)):
+            path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+        with pytest.raises(ConfigError, match=re.escape(message.format(path=path))):
             load_config(path, **overrides)
 
     def test_readme_example_covers_schema(self, tmp_path):
@@ -234,6 +244,120 @@ class TestConfig:
         assert config.shots.seed == 99
         assert config.scan.variable == "m"
         assert config.output.format == "json"
+
+
+# The config keys each subcommand reads, as the README's table states them.
+READ_KEYS = {
+    "fig2": {"mzi.gamma", "mzi.n_photons", "mzi.input_phase", "chi_values",
+             "scan.variable", "scan.grid", "output.path", "output.format",
+             "output.precision"},
+    "fig3": {*(f"mzi.{key}" for key in _SECTIONS["mzi"]), "lo.beta_mag", "lo.xi",
+             "lo.delta", "shots.seed", "shots.runs", "scan.variable", "scan.grid",
+             "output.path", "output.format", "output.precision"},
+    "fig4": {"mzi.chi", "mzi.gamma", "mzi.input_phase", "lo.beta_mag", "lo.xi", "lo.delta",
+             "detector.k_max", "detector.n_sat", "n_values", "scan.variable", "scan.grid",
+             "output.path", "output.format", "output.precision"},
+    "single": {*(f"mzi.{key}" for key in _SECTIONS["mzi"]), "lo.beta_mag", "lo.xi",
+               "lo.delta", "detector.k_max", "detector.n_sat", "output.path",
+               "output.precision"},
+}
+# What each subcommand needs to run at all: fig3 a seed, fig4 a detector and
+# single a working point.
+MINIMAL = {"fig2": {}, "fig3": {"shots": {"seed": 1, "runs": 2}},
+           "fig4": {"detector": {"k_max": 450.0, "n_sat": 500.0}},
+           "single": {"mzi": {"theta2": 0.7, "chi": 0.01}}}
+# A value for every key, and a second one for every key a run hashes.
+BASE = {
+    "mzi": {"theta2": 0.7, "gamma": 0.0, "chi": 0.01, "n_photons": 100.0,
+            "input_phase": 0.0},
+    "lo": {"beta_mag": 3.0, "xi": 1.0, "delta": 0.0},
+    "detector": {"k_max": 450.0, "n_sat": 500.0},
+    "shots": {"seed": 1, "runs": 2},
+    "output": {"path": "out.txt", "format": "csv", "precision": 12},
+    "chi_values": [0.01], "n_values": [100.0],
+}
+OTHER = {
+    "mzi.theta2": 0.6, "mzi.gamma": 0.1, "mzi.chi": 0.02, "mzi.n_photons": 50.0,
+    "mzi.input_phase": 0.3, "lo.beta_mag": 4.0, "lo.xi": 1.2, "lo.delta": 0.01,
+    "detector.k_max": 400.0, "detector.n_sat": 600.0, "shots.seed": 2, "shots.runs": 3,
+    "output.precision": 6, "chi_values": [0.02], "n_values": [50.0],
+}
+ALL_KEYS = [*(f"{name}.{key}" for name, keys in _SECTIONS.items() for key in keys),
+            *_LISTS]
+
+
+def _base(command):
+    """BASE with the scan block of ``command``'s variable."""
+    grid = [1, 10] if command == "fig3" else [0.5, 0.6]
+    return {**BASE, "scan": {"variable": "m" if command == "fig3" else "theta2",
+                             "grid": grid}}
+
+
+def _with(raw, key, value, command):
+    """A copy of ``raw`` with ``key`` set to ``value``.
+
+    A section that needs keys gets them from ``_base(command)`` if it lacks them.
+    """
+    name, _, field = key.partition(".")
+    if not field:
+        return {**raw, key: value}
+    required = {k: _base(command)[name][k] for k in _REQUIRED.get(name, ())}
+    return {**raw, name: {**required, **raw.get(name, {}), field: value}}
+
+
+def _get(raw, key):
+    name, _, field = key.partition(".")
+    return raw[name][field] if field else raw[name]
+
+
+def _sha(command, raw, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    config = load_config(path)
+    if command == "single":
+        return run_single(config)["config_sha256"]
+    return {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4}[command](config).config_sha256
+
+
+class TestReads:
+    """Each subcommand accepts exactly the config keys it reads, and hashes them."""
+
+    def test_every_subcommand_key_pair(self, tmp_path, capsys):
+        assert sum(map(len, READ_KEYS.values())) == 50
+        pairs = [(command, key) for command in MINIMAL for key in ALL_KEYS]
+        assert len(pairs) == 76
+        rejected = []
+        for command, key in pairs:
+            raw = _with(MINIMAL[command], key, _get(_base(command), key), command)
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(raw))
+            code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            if key in READ_KEYS[command]:
+                assert (code, err) == (0, ""), (command, key)
+                continue
+            rejected.append(key)
+            # A section that needs keys is read whole or not at all; the first
+            # key it needs is the first one named.
+            name = key.partition(".")[0]
+            named = f"{name}.{_REQUIRED[name][0]}" if name in _REQUIRED else key
+            assert code == 2, (command, key)
+            assert err.startswith(f"config error: {command} does not read {named}; "
+                                  "it reads "), (command, key, err)
+        assert len(rejected) == 26
+
+    @pytest.mark.parametrize("command", list(MINIMAL))
+    def test_every_read_key_changes_the_hash(self, tmp_path, command):
+        # output.path, output.format and scan.variable change no data byte.
+        hashed = READ_KEYS[command] - {"output.path", "output.format", "scan.variable"}
+        base = MINIMAL[command]
+        for key in hashed:
+            base = _with(base, key, _get(_base(command), key), command)
+        sha = _sha(command, base, tmp_path)
+        for key in sorted(hashed):
+            other = {"scan.grid": [1, 20] if command == "fig3" else [0.5, 0.7]}
+            changed = _with(base, key, {**OTHER, **other}[key], command)
+            assert _sha(command, changed, tmp_path) != sha, key
 
 
 def _hex_grid(values):
@@ -666,6 +790,27 @@ class TestCli:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--config", '{"mzi": {"chi": 1' + "0" * 400 + "}}",
+         "mzi.chi must be finite, got an integer of 401 digits\n"),
+        ("--config", '{"mzi": {"chi": 1' + "0" * 4300 + "}}",
+         "cannot read config file {path}: Exceeds the limit (4300 digits)"),
+        ("--self-check", '{"snr": 1' + "0" * 4300 + "}",
+         "cannot read expected-values file {path}: Exceeds the limit (4300 digits)"),
+    ], ids=["past the largest float", "config past int()", "self-check past int()"])
+    def test_huge_integer_exits_2(self, tmp_path, capsys, flag, text, message):
+        # Neither is a traceback with the exit code of a self-check mismatch.
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"mzi": {"theta2": 0.7, "chi": 1e-3}}))
+        config = str(path) if flag == "--config" else str(point)
+        argv = ["single", "--config", config] + ([] if flag == "--config" else
+                                                 [flag, str(path)])
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: " + message.format(path=path))
+
     @pytest.mark.parametrize("command", [["fig2"], ["single"]], ids=["fig2", "single"])
     @pytest.mark.parametrize("target", ["directory", "missing/out.csv"])
     def test_unwritable_out_exit_code(self, tmp_path, capsys, command, target):
@@ -673,7 +818,9 @@ class TestCli:
         # not a traceback with the exit code of a self-check mismatch.
         (tmp_path / "directory").mkdir()
         point = tmp_path / "point.json"
-        point.write_text(json.dumps({"mzi": {"theta2": 0.7, "chi": 1e-3}}))
+        raw = ({"mzi": {"theta2": 0.7, "chi": 1e-3}} if command == ["single"]
+               else {"chi_values": [1e-3]})
+        point.write_text(json.dumps(raw))
         argv = command + ["--config", str(point), "--out", str(tmp_path / target)]
         assert main(argv) == 2
         assert "cannot write output file" in capsys.readouterr().err
@@ -707,7 +854,7 @@ class TestCli:
         single_cfg.write_text(json.dumps(extreme))
         fig4_cfg = tmp_path / "fig4.json"
         fig4_cfg.write_text(json.dumps({
-            **extreme, "n_values": [mzi["n_photons"]],
+            **extreme, "mzi": {"chi": mzi["chi"]}, "n_values": [mzi["n_photons"]],
             "scan": {"variable": "theta2", "grid": [mzi["theta2"]]},
         }))
         assert main(["single", "--config", str(single_cfg)]) == 0
@@ -833,7 +980,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["fig2", "fig4"])
     def test_grid_past_half_pi_exit_code(self, tmp_path, capsys, command):
         cfg = tmp_path / "det.json"
-        cfg.write_text(json.dumps({"detector": {"k_max": 450.0, "n_sat": 500.0}}))
+        raw = {"detector": {"k_max": 450.0, "n_sat": 500.0}} if command == "fig4" else {}
+        cfg.write_text(json.dumps(raw))
         out = tmp_path / "out.csv"
         argv = [command, "--config", str(cfg), "--scan", "theta2", "1.5", "1.7", "5",
                 "--out", str(out)]
@@ -909,14 +1057,13 @@ def _reference_csv(table, precision):
 
 
 def _tables(tmp_path):
-    raw = {"detector": DETECTOR, "shots": {"seed": 5, "runs": 3}}
     tables = {}
     for name, grid in (("default", None), ("through pi/4", THROUGH_DARK),
                        ("[pi/4]", [math.pi / 4])):
-        config = _config(tmp_path, raw, grid)
-        tables[f"fig2 {name}"] = run_fig2(config)
-        tables[f"fig4 {name}"] = run_fig4(config)
-    fig3 = _config(tmp_path, {**raw, "scan": {"variable": "m", "grid": [1, 10, 100]}})
+        tables[f"fig2 {name}"] = run_fig2(_config(tmp_path, {}, grid))
+        tables[f"fig4 {name}"] = run_fig4(_config(tmp_path, {"detector": DETECTOR}, grid))
+    fig3 = _config(tmp_path, {"shots": {"seed": 5, "runs": 3},
+                              "scan": {"variable": "m", "grid": [1, 10, 100]}})
     tables["fig3"] = run_fig3(fig3)
     tables["no rows"] = Table(columns=["a", "b"], rows=[], config_sha256="0" * 64)
     return tables
@@ -954,6 +1101,20 @@ def _fig4_record(config, theta2, n_photons):
     return report
 
 
+def _figure_raw(figure, mzi, lo, chi_values, n_values):
+    """``mzi``, ``lo``, a detector and the lists, cut to the keys ``figure`` reads."""
+    def pick(*keys):
+        return {key: mzi[key] for key in keys}
+
+    lo = {} if lo is None else {"lo": lo}
+    if figure == "fig2":
+        return {"mzi": pick("gamma", "input_phase", "n_photons"), "chi_values": chi_values}
+    if figure == "fig4":
+        return {"mzi": pick("chi", "gamma", "input_phase"), **lo, "detector": DETECTOR,
+                "n_values": n_values}
+    return {"mzi": mzi, **lo, "detector": DETECTOR}
+
+
 @pytest.mark.parametrize("mzi, lo", [
     # abs(coherent_amplitude(150, 0.7)) is not sqrt(150) in floats.  chi = gamma
     # makes pi/4 a ZeroAmplitude point, and chi = 0 makes theta2 = 0 fig4's
@@ -965,15 +1126,12 @@ def _fig4_record(config, theta2, n_photons):
 class TestScanRowsMatchRecords:
     """Every scan cell equals the record API's value, and NA its sentinel error."""
 
-    def _scan_config(self, tmp_path, mzi, lo):
-        raw = {"mzi": mzi, "detector": DETECTOR, "chi_values": [1e-3, mzi["chi"], -0.02],
-               "n_values": [100.0, 2000.0]}
-        if lo is not None:
-            raw["lo"] = lo
-        return _config(tmp_path, raw, RECORD_GRID)
+    def _scan_config(self, tmp_path, mzi, lo, figure):
+        raw = _figure_raw(figure, mzi, lo, [1e-3, mzi["chi"], -0.02], [100.0, 2000.0])
+        return _config(tmp_path, raw, None if figure == "single" else RECORD_GRID)
 
     def test_fig2(self, tmp_path, mzi, lo):
-        config = self._scan_config(tmp_path, mzi, lo)
+        config = self._scan_config(tmp_path, mzi, lo, "fig2")
         table = run_fig2(config)
         gamma = config.gamma
         for chi, theta2, *cells in table.rows:
@@ -989,7 +1147,7 @@ class TestScanRowsMatchRecords:
         assert table.sentinel_rows == sum(row[2] is None for row in table.rows) > 0
 
     def test_fig4(self, tmp_path, mzi, lo):
-        config = self._scan_config(tmp_path, mzi, lo)
+        config = self._scan_config(tmp_path, mzi, lo, "fig4")
         table = run_fig4(config)
         for theta2, n_photons, *cells in table.rows:
             report = _fig4_record(config, theta2, n_photons)
@@ -999,14 +1157,15 @@ class TestScanRowsMatchRecords:
         assert table.sentinel_rows == sum(row[2] is None for row in table.rows) > 0
 
     def test_one_row_fig4_matches_single(self, tmp_path, mzi, lo):
-        config = self._scan_config(tmp_path, mzi, lo)
+        config = self._scan_config(tmp_path, mzi, lo, "fig4")
+        single = self._scan_config(tmp_path, mzi, lo, "single")
         for theta2 in RECORD_GRID:
             config.scan = ScanSpec("theta2", [theta2])
-            config.n_values = [config.n_photons]
+            config.n_values = [single.n_photons]
             row = run_fig4(config).rows[0]
-            config.scan, config.theta2 = None, theta2
-            saturation = run_single(config)["saturation"]
-            report = _fig4_record(config, theta2, config.n_photons)
+            single.theta2 = theta2
+            saturation = run_single(single)["saturation"]
+            report = _fig4_record(single, theta2, single.n_photons)
             if report is None:
                 assert saturation is None and row[2:] == [None] * 3
                 continue
@@ -1030,13 +1189,12 @@ class TestScanRowsMatchRecords:
 class TestScanMatchesScalarChain:
     """Every fig2 and fig4 cell equals the point-by-point chain of ``scalar_chain``."""
 
-    def _scan_config(self, tmp_path, mzi, lo):
-        raw = {"mzi": mzi, "lo": lo, "detector": DETECTOR,
-               "chi_values": [1e-3, 0.05, -0.02], "n_values": [0.0, 100.0, 2000.0]}
+    def _scan_config(self, tmp_path, mzi, lo, figure):
+        raw = _figure_raw(figure, mzi, lo, [1e-3, 0.05, -0.02], [0.0, 100.0, 2000.0])
         return _config(tmp_path, raw, RECORD_GRID)
 
     def test_fig2(self, tmp_path, mzi, lo):
-        config = self._scan_config(tmp_path, mzi, lo)
+        config = self._scan_config(tmp_path, mzi, lo, "fig2")
         table = run_fig2(config)
         alpha_mag = abs(cmath.rect(math.sqrt(config.n_photons), config.input_phase))
         expected = [[chi, theta2, *scalar_chain.fig2_cells(theta2, chi, config.gamma,
@@ -1046,7 +1204,7 @@ class TestScanMatchesScalarChain:
         assert table.sentinel_rows == sum(row[2] is None for row in expected) > 0
 
     def test_fig4(self, tmp_path, mzi, lo):
-        config = self._scan_config(tmp_path, mzi, lo)
+        config = self._scan_config(tmp_path, mzi, lo, "fig4")
         table = run_fig4(config)
         beam, det = config.lo, config.detector
         expected = []
@@ -1069,7 +1227,7 @@ class TestThetaGridEdges:
     @pytest.mark.parametrize("grid, bad", [([1.7, 1.2, 0.5], "1.7"),
                                            ([-0.1, 0.2, 0.5], "-0.1")])
     def test_first_angle_out_of_range(self, tmp_path, command, grid, bad):
-        config = _config(tmp_path, {"detector": DETECTOR}, grid)
+        config = _config(tmp_path, {"detector": DETECTOR} if command == "fig4" else {}, grid)
         runner = {"fig2": run_fig2, "fig4": run_fig4}[command]
         with pytest.raises(ConfigError,
                            match=re.escape(f"theta2 must lie in [0, pi/2], got {bad}")):
@@ -1113,7 +1271,7 @@ class TestStrongLo:
         single_cfg = tmp_path / "single.json"
         single_cfg.write_text(json.dumps(raw))
         fig4_cfg = tmp_path / "fig4.json"
-        fig4_cfg.write_text(json.dumps({**raw, "n_values": [100.0],
+        fig4_cfg.write_text(json.dumps({**raw, "mzi": {"chi": 0.01}, "n_values": [100.0],
                                         "scan": {"variable": "theta2", "grid": [0.7]}}))
         return str(single_cfg), str(fig4_cfg)
 
@@ -1165,11 +1323,11 @@ DARK_STEPS = range(-12, 13)
 def test_dark_band_readers_agree(tmp_path, gamma, dark_steps):
     """weak_value, error_ratio, fig2, fig4 and single agree angle for angle."""
     grid = [_float_steps(math.pi / 4, step) for step in DARK_STEPS]
-    raw = {"mzi": {"chi": 0.01, "gamma": gamma}, "detector": DETECTOR,
-           "chi_values": [0.01], "n_values": [100.0]}
-    config = _config(tmp_path, raw, grid)
-    fig2, fig4 = run_fig2(config).rows, run_fig4(config).rows
-    config.scan = None
+    point = {"mzi": {"chi": 0.01, "gamma": gamma}, "detector": DETECTOR}
+    fig2 = run_fig2(_config(tmp_path, {"mzi": {"gamma": gamma}, "chi_values": [0.01]},
+                            grid)).rows
+    fig4 = run_fig4(_config(tmp_path, {**point, "n_values": [100.0]}, grid)).rows
+    config = _config(tmp_path, point)
     for step, theta2, fig2_row, fig4_row in zip(DARK_STEPS, grid, fig2, fig4):
         config.theta2 = theta2
         params = config.mzi_params()

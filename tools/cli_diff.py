@@ -45,20 +45,25 @@ STRONG_LO = {
     "detector": DETECTOR,
 }
 # Working point of the strong-LO cases: beta_mag 1.4e154 overflows the detector
-# counts there, 1.3e154 does not.
+# counts there, 1.3e154 does not.  fig4 scans theta2.
 STRONG = {"mzi": {"theta2": 0.7, "chi": 0.01}, "detector": DETECTOR}
+STRONG_FIG4 = {"mzi": {"chi": 0.01}, "detector": DETECTOR}
 # Every run-, angle- and block-level term of fig2 and fig4 away from its
 # default, on 2001 angles whose two halves end exactly on pi/4.
 HALF = [0.1 + i * (DARK - 0.1) / 1000 for i in range(1000)]
+HOISTED_SCAN = {"variable": "theta2",
+                "grid": HALF + [DARK] + [2 * DARK - t for t in reversed(HALF)]}
 HOISTED = {
-    "mzi": {"gamma": 0.05, "input_phase": 0.3},
-    "lo": {"beta_mag": 5.0, "xi": 1.2, "delta": 1e-3},
-    "detector": DETECTOR,
-    "chi_values": [1e-3, -0.02],
-    "n_values": [0, 100, 2000],
-    "scan": {"variable": "theta2",
-             "grid": HALF + [DARK] + [2 * DARK - t for t in reversed(HALF)]},
+    "fig2": {"mzi": {"gamma": 0.05, "input_phase": 0.3}, "chi_values": [1e-3, -0.02],
+             "scan": HOISTED_SCAN},
+    "fig4": {"mzi": {"gamma": 0.05, "input_phase": 0.3},
+             "lo": {"beta_mag": 5.0, "xi": 1.2, "delta": 1e-3}, "detector": DETECTOR,
+             "n_values": [0, 100, 2000], "scan": HOISTED_SCAN},
 }
+# A valid run of each subcommand plus a key it does not read.
+UNREAD = {"fig2": {"mzi": {"chi": 0.5}}, "fig3": {"detector": DETECTOR},
+          "fig4": {"detector": DETECTOR, "chi_values": [1e-3]},
+          "single": {"mzi": POINTS["below"], "shots": {"runs": 5}}}
 
 
 def float_steps(x: float, n: int) -> float:
@@ -71,9 +76,10 @@ def float_steps(x: float, n: int) -> float:
 # pi/4 and its 12 float neighbours on each side.  At gamma 0 the overlap is
 # dark from 9 steps below pi/4 to 10 steps above it; single runs on both
 # edges of that band.
-DARK_EDGE = {"mzi": {"chi": 0.01}, "detector": DETECTOR,
-             "scan": {"variable": "theta2",
-                      "grid": [float_steps(DARK, n) for n in range(-12, 13)]}}
+DARK_EDGE_SCAN = {"variable": "theta2",
+                  "grid": [float_steps(DARK, n) for n in range(-12, 13)]}
+DARK_EDGE = {"fig2": {"scan": DARK_EDGE_SCAN},
+             "fig4": {"mzi": {"chi": 0.01}, "detector": DETECTOR, "scan": DARK_EDGE_SCAN}}
 DARK_EDGE_SINGLE_STEPS = (-10, -9, 0, 10, 11)
 # fig3 m values on both sides of its 2**14-shot block cap, with runs that leave
 # a remainder block.
@@ -104,12 +110,14 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "theta1_pi_4": {"mzi": {"theta1": math.pi / 4}},
         "theta1_0.3": {"mzi": {"theta1": 0.3}},
         "balanced": BALANCED,
-        "balanced_fig4": {**BALANCED, "n_values": [BALANCED["mzi"]["n_photons"]]},
+        "balanced_fig4": {**BALANCED, "mzi": {"chi": BALANCED["mzi"]["chi"]},
+                          "n_values": [BALANCED["mzi"]["n_photons"]]},
         "strong_lo": STRONG_LO,
         "no_photons": {"mzi": {"n_photons": 0}},
-        "hoisted": HOISTED,
         "lo_1.3e154": {**STRONG, "lo": {"beta_mag": 1.3e154}},
         "lo_1.4e154": {**STRONG, "lo": {"beta_mag": 1.4e154}},
+        "fig4_lo_1.3e154": {**STRONG_FIG4, "lo": {"beta_mag": 1.3e154}},
+        "fig4_lo_1.4e154": {**STRONG_FIG4, "lo": {"beta_mag": 1.4e154}},
         "dark_zero_phase": {"mzi": {"theta2": DARK, "chi": 0.0}},
         # Re(a_w) * 1e308 overflows where a_w > 1.8.
         "chi_1e308": {"chi_values": [1e308]},
@@ -123,7 +131,11 @@ def write_inputs(folder: Path) -> dict[str, str]:
     for n in DARK_EDGE_SINGLE_STEPS:
         objects[f"dark_edge_{n}"] = {"mzi": {"theta2": float_steps(DARK, n), "chi": 0.01},
                                      "detector": DETECTOR}
-    objects["dark_edge"] = DARK_EDGE
+    for name in ("fig2", "fig4"):
+        objects[f"hoisted_{name}"] = HOISTED[name]
+        objects[f"dark_edge_{name}"] = DARK_EDGE[name]
+    for name, raw in UNREAD.items():
+        objects[f"unread_{name}"] = raw
     for runs in (2, 7):
         objects[f"block_cap_runs_{runs}"] = {
             "shots": {"seed": 5, "runs": runs},
@@ -139,6 +151,12 @@ def write_inputs(folder: Path) -> dict[str, str]:
     paths["malformed"].write_text("{not json", encoding="utf-8")
     paths["latin1"] = folder / "latin1.json"
     paths["latin1"].write_bytes(b'{"mzi": {"chi": "\xff"}}')
+    # An integer past the largest float, and one too long for int().
+    paths["chi_1e400"] = folder / "chi_1e400.json"
+    paths["chi_1e400"].write_text('{"mzi": {"chi": 1' + "0" * 400 + "}}", encoding="utf-8")
+    paths["chi_4301_digits"] = folder / "chi_4301_digits.json"
+    paths["chi_4301_digits"].write_text('{"mzi": {"chi": 1' + "0" * 4300 + "}}",
+                                        encoding="utf-8")
     paths["directory"] = folder / "directory"
     paths["directory"].mkdir()
     paths["missing"] = folder / "missing.json"
@@ -215,22 +233,29 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("fig2 scan with only variable", ["fig2", "--config", f["scan_variable"]]),
         ("single mzi.chi NaN", ["single", "--config", f["nan_chi"]]),
         ("fig2 --scan not a number", ["fig2", "--scan", "theta2", "a", "1", "3"]),
+        ("single mzi.chi 1e400 as an integer", ["single", "--config", f["chi_1e400"]]),
+        ("single mzi.chi of 4301 digits", ["single", "--config", f["chi_4301_digits"]]),
     ]
+    for name in UNREAD:
+        seed = ["--seed", "1"] if name == "fig3" else []
+        out.append((f"{name} unread key", [name, "--config", f[f"unread_{name}"]] + seed))
     for fmt, fmt_args in FORMATS.items():
         out += [(f"{name} hoisted terms, 2001 angles through pi/4, {fmt}",
-                 [name, "--config", f["hoisted"]] + fmt_args) for name in ("fig2", "fig4")]
+                 [name, "--config", f[f"hoisted_{name}"]] + fmt_args)
+                for name in ("fig2", "fig4")]
         out += [(f"fig3 m across the block cap, shots.runs {runs}, {fmt}",
                  ["fig3", "--config", f[f"block_cap_runs_{runs}"]] + fmt_args)
                 for runs in (2, 7)]
     out += [(f"{name} 25 float neighbours of pi/4, csv",
-             [name, "--config", f["dark_edge"]] + FORMATS["csv"]) for name in ("fig2", "fig4")]
+             [name, "--config", f[f"dark_edge_{name}"]] + FORMATS["csv"])
+            for name in ("fig2", "fig4")]
     out += [(f"single {n} float steps from pi/4, detector",
              ["single", "--config", f[f"dark_edge_{n}"]]) for n in DARK_EDGE_SINGLE_STEPS]
     for beta in ("1.3e154", "1.4e154"):
         out += [
             (f"single LO {beta}", ["single", "--config", f[f"lo_{beta}"]]),
             (f"fig4 LO {beta}",
-             ["fig4", "--config", f[f"lo_{beta}"], "--scan", "theta2", "0.3", "0.4", "2"]),
+             ["fig4", "--config", f[f"fig4_lo_{beta}"], "--scan", "theta2", "0.3", "0.4", "2"]),
         ]
     return out
 
