@@ -101,25 +101,26 @@ def aav_phase(a_w_reals: list[float | None], chi: float) -> list[float | None]:
 
 
 def exact_phase(units: list[complex],
-                alpha_mags: list[float]) -> tuple[list[float], list[list[float | None]]]:
-    """Amplified phases of unit port amplitudes, and |alpha_f| over them per |alpha|.
+                alphas: list[complex]) -> tuple[list[float], list[list[float | None]]]:
+    """Amplified phases of unit port amplitudes, and |alpha_f| over them per alpha.
 
     Returns chi_tilde = arg(unit) wrapped to (-pi, pi] for each unit, and for
-    each |alpha| a list of |alpha_f| = |alpha| / sqrt(2) * |unit|, with None
+    each input amplitude alpha a list of |alpha_f|, the modulus of the port
+    field alpha / sqrt(2) * unit as ``propagate_mzi`` forms it, with None
     where the amplitude vanishes and its phase is undefined.  Each unit's
-    modulus and phase are formed once for every |alpha|.
-    ``chi_tilde_exact`` calls it with one unit and one |alpha|.
+    modulus and phase are formed once for every alpha.
+    ``chi_tilde_exact`` calls it with one unit and one alpha.
     """
     moduli = [abs(unit) for unit in units]
     phases = [wrap_angle(cmath.phase(unit)) for unit in units]
     mags = []
-    for alpha_mag in alpha_mags:
-        scale = alpha_mag / math.sqrt(2.0)
+    for alpha in alphas:
+        scale = alpha / math.sqrt(2.0)
         # At the float dark point rounding leaves |unit| near 1e-16, which a
         # large N would lift above the threshold; the phase of that residue
         # is noise.
-        mags.append([None if min(mag := scale * modulus, modulus) < ZERO_AMPLITUDE_TOL
-                     else mag for modulus in moduli])
+        mags.append([None if min(mag := abs(scale * unit), modulus) < ZERO_AMPLITUDE_TOL
+                     else mag for unit, modulus in zip(units, moduli)])
     return phases, mags
 
 
@@ -175,13 +176,13 @@ def chi_tilde_exact(params: MziParams) -> AmplifiedPhase:
     """Exact amplified phase, valid at any coupling strength.
 
     Phase and magnitude both come from the unit port amplitude: chi_tilde =
-    arg(alpha_f) - arg(alpha) wrapped to (-pi, pi] and |alpha_f| = |alpha| /
-    sqrt(2) * |unit|.  Raises ZeroAmplitude at an exact dark point, where the
-    phase is undefined.
+    arg(alpha_f) - arg(alpha) wrapped to (-pi, pi] and |alpha_f| = |alpha /
+    sqrt(2) * unit|, the modulus of ``propagate_mzi``'s port field.  Raises
+    ZeroAmplitude at an exact dark point, where the phase is undefined.
     """
     theta2, chi, gamma = params.theta2, params.chi, params.gamma
     phases, mags = exact_phase(port_amplitudes([theta2], [chi], gamma)[0],
-                               [abs(params.alpha)])
+                               [params.alpha])
     if mags[0][0] is None:
         raise ZeroAmplitude(
             f"postselected amplitude vanishes at theta2={theta2}, "

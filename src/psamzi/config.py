@@ -11,7 +11,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .homodyne import LoConfig
 from .optics import MziParams, coherent_amplitude
-from .saturation import DetectorParams, check_lo_strength
+from .saturation import DetectorParams
 
 # theta2 for fig2 and fig4, the shot count m for fig3.
 SCAN_VARIABLES = ("theta2", "m")
@@ -279,7 +279,7 @@ def load_config(
         output["format"] = _SECTIONS["output"]["format"](fmt, "format")
 
     xi = math.pi / 2 + mzi.get("input_phase", DEFAULT_INPUT_PHASE)
-    config = RunConfig(
+    return RunConfig(
         **mzi, **lists,
         lo=_build(LoConfig, **{"beta_mag": DEFAULT_BETA_MAG, "xi": xi, **lo}),
         detector=_build(DetectorParams, **det) if det else None,
@@ -290,11 +290,6 @@ def load_config(
                 in zip(_SECTIONS, (mzi, lo, det, shots, scan_values, output))
                 for key in values), *lists),
     )
-    if config.detector is not None:
-        n_max = max([config.n_photons, *(config.n_values or [])])
-        _build(check_lo_strength, beta_mag=config.lo.beta_mag,
-               alpha_mag=abs(coherent_amplitude(n_max, config.input_phase)))
-    return config
 
 
 def config_hash(resolved: dict) -> str:

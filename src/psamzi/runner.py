@@ -14,12 +14,12 @@ import os
 from dataclasses import asdict, dataclass
 
 from .amplification import aav_phase, chi_tilde_exact, exact_phase, weak_values
-from .config import RunConfig, config_hash, linspace, strictly_monotone
+from .config import RunConfig, _build, config_hash, linspace, strictly_monotone
 from .errors import ConfigError, ZeroAmplitude
 from .homodyne import phase_sensitivity, quadrature_mean, quadrature_stats_exact
 from .optics import (coherent_amplitude, intensity_difference, port_amplitudes,
                      propagate_mzi, theta2_in_range)
-from .saturation import error_ratio_fields
+from .saturation import check_lo_strength, error_ratio_fields
 from .shots import averaged_stats, draw_shots, uncertainty_vs_m
 
 # Exposes the amplification ramp without touching the dark-point singularity.
@@ -78,7 +78,7 @@ _READS = {
     "fig2": ("theta2", "mzi.gamma mzi.n_photons mzi.input_phase chi_values scan output"),
     "fig3": ("m", "mzi lo shots scan output"),
     "fig4": ("theta2", "mzi.chi mzi.gamma mzi.input_phase lo detector n_values scan output"),
-    "single": (None, "mzi lo detector output.path output.precision"),
+    "single": (None, "mzi lo detector output.path"),
 }
 
 
@@ -135,13 +135,13 @@ def run_fig2(config: RunConfig, workers: int = 1) -> Table:
     _check_reads(config, "fig2")
     chi_values = config.chi_values or list(DEFAULT_CHI_VALUES)
     gamma = config.gamma
-    alpha_mag = abs(coherent_amplitude(config.n_photons, config.input_phase))
+    alpha = coherent_amplitude(config.n_photons, config.input_phase)
     grid = _theta2_grid(config)
     a_ws = [None if point is None else point[3].real
             for point in weak_values(grid, gamma)]
     rows: list[list[object]] = []
     for chi, units in zip(chi_values, port_amplitudes(grid, chi_values, gamma)):
-        phases, (mags,) = exact_phase(units, [alpha_mag])
+        phases, (mags,) = exact_phase(units, [alpha])
         for theta2, a_w, aav, chi_tilde, mag in zip(grid, a_ws, aav_phase(a_ws, chi),
                                                     phases, mags):
             if a_w is None or mag is None:
@@ -259,8 +259,9 @@ def run_fig4(config: RunConfig, workers: int = 1) -> Table:
     chi = config.chi if config.chi is not None else FIG4_DEFAULT_CHI
     lo = config.lo
     det = config.detector
-    grid = _theta2_grid(config)
     alphas = [coherent_amplitude(n, config.input_phase) for n in n_values]
+    _build(check_lo_strength, beta_mag=lo.beta_mag, alpha_mag=max(map(abs, alphas)))
+    grid = _theta2_grid(config)
     points = error_ratio_fields(grid, chi, config.gamma, alphas, lo, det)
     rows: list[list[object]] = []
     for n_photons in n_values:
@@ -322,6 +323,7 @@ def run_single(config: RunConfig) -> dict:
         record["sensitivity"] = None
 
     if config.detector is not None:
+        _build(check_lo_strength, beta_mag=lo.beta_mag, alpha_mag=abs(params.alpha))
         fields = next(error_ratio_fields([params.theta2], params.chi, params.gamma,
                                          [params.alpha], lo, config.detector))
         names = ["n1", "n2", "x_linear", "x_saturated", "chi_tilde_biased", "eta_e"]

@@ -54,7 +54,6 @@ class SaturationReport:
     x_saturated: float
     chi_tilde_biased: float
     eta_e: float
-    clamped: bool = False
 
 
 def detector_current(n_photons: float, det: DetectorParams) -> float:
@@ -156,12 +155,12 @@ def error_ratio_fields(grid: list[float], chi: float, gamma: float,
     scale once per alpha and the LO terms once per run; ``error_ratio``
     takes the one point of a one-angle, one-alpha grid.  Points come one at
     a time, so a caller that keeps a few fields of each holds no others.
-    The inversion does not clamp beyond rounding: |x_saturated| N_sat / k_max
-    <= |x_bar| <= |alpha_f|.
+    The inversion clips only by rounding, since |x_saturated| N_sat / k_max
+    <= |x_bar| <= |alpha_f|, so the fields carry no clamp flag.
     """
     darks = [point is None for point in weak_values(grid, gamma)]
     units = port_amplitudes(grid, [chi], gamma)[0]
-    phases, mag_rows = exact_phase(units, [abs(alpha) for alpha in alphas])
+    phases, mag_rows = exact_phase(units, alphas)
     xi = lo.effective_phase
     slope = det.k_max / det.n_sat
     for alpha, mags in zip(alphas, mag_rows):
@@ -178,9 +177,9 @@ def error_ratio_fields(grid: list[float], chi: float, gamma: float,
             if dark or inversion is None or chi_tilde == 0.0:
                 yield None
             else:
-                chi_biased, clamped = inversion
+                chi_biased = inversion[0]
                 yield (n1, n2, slope * x_bar, x_sat, chi_biased,
-                       abs(chi_biased - chi_tilde) / abs(chi_tilde), clamped)
+                       abs(chi_biased - chi_tilde) / abs(chi_tilde))
 
 
 def error_ratio(

@@ -36,18 +36,18 @@ def unit_port(theta2, chi, gamma):
     return arm1 * math.cos(theta2) - arm2 * math.sin(theta2)
 
 
-def exact_phase(unit, alpha_mag):
-    """(wrapped arg(unit), |alpha| / sqrt(2) * |unit|), or None where it vanishes."""
-    mag = alpha_mag / math.sqrt(2.0) * abs(unit)
+def exact_phase(unit, alpha):
+    """(wrapped arg(unit), |alpha / sqrt(2) * unit|), or None where it vanishes."""
+    mag = abs(alpha / math.sqrt(2.0) * unit)
     if min(mag, abs(unit)) < ZERO_AMPLITUDE_TOL:
         return None
     return wrap(cmath.phase(unit)), mag
 
 
-def fig2_cells(theta2, chi, gamma, alpha_mag):
+def fig2_cells(theta2, chi, gamma, alpha):
     """[chi_tilde_aav, chi_tilde_exact, weak_value, port_intensity]."""
     a_w = weak_value_real(theta2, gamma)
-    exact = exact_phase(unit_port(theta2, chi, gamma), alpha_mag)
+    exact = exact_phase(unit_port(theta2, chi, gamma), alpha)
     if a_w is None or exact is None:
         return [None] * 4
     chi_tilde, mag = exact
@@ -59,7 +59,7 @@ def fig4_cells(theta2, chi, gamma, alpha, beta_mag, xi, k_max, n_sat):
     if weak_value_real(theta2, gamma) is None:
         return [None] * 3
     unit = unit_port(theta2, chi, gamma)
-    exact = exact_phase(unit, abs(alpha))
+    exact = exact_phase(unit, alpha)
     if exact is None or exact[0] == 0.0:
         return [None] * 3
     chi_tilde, mag = exact

@@ -207,6 +207,26 @@ class TestExactPhase:
             assert abs(amp.alpha_f_mag - abs(alpha_f)) < 1e-12
             checked += 1
 
+    def test_one_port_field(self):
+        # |alpha_f| is the modulus of the one port field alpha / sqrt(2) * unit,
+        # so chi_tilde_exact's magnitude squared is propagate_mzi's intensity to
+        # the bit, with gamma and the input phase away from zero on both sides
+        # of the dark point.
+        rng = np.random.default_rng(27)
+
+        def signed(low, high):
+            return float(rng.choice([-1.0, 1.0]) * rng.uniform(low, high))
+
+        for _ in range(3000):
+            theta2 = math.pi / 4 + signed(1e-3, math.pi / 4 - 1e-3)
+            gamma = signed(0.01, math.pi)
+            chi = float(rng.uniform(-1.0, 1.0))
+            alpha = coherent_amplitude(float(10.0 ** rng.uniform(0.0, 4.0)),
+                                       signed(0.01, math.pi))
+            params = MziParams(theta2=theta2, chi=chi, alpha=alpha, gamma=gamma)
+            expected = propagate_mzi(params).intensity_f
+            assert chi_tilde_exact(params).alpha_f_mag**2 == expected, params
+
     def test_dark_point_raises(self):
         # At the float dark point the unit port amplitude is a ~1e-16 rounding
         # residue; a large N must not lift it over the zero-amplitude rule.

@@ -258,8 +258,7 @@ READ_KEYS = {
              "detector.k_max", "detector.n_sat", "n_values", "scan.variable", "scan.grid",
              "output.path", "output.format", "output.precision"},
     "single": {*(f"mzi.{key}" for key in _SECTIONS["mzi"]), "lo.beta_mag", "lo.xi",
-               "lo.delta", "detector.k_max", "detector.n_sat", "output.path",
-               "output.precision"},
+               "lo.delta", "detector.k_max", "detector.n_sat", "output.path"},
 }
 # What each subcommand needs to run at all: fig3 a seed, fig4 a detector and
 # single a working point.
@@ -323,7 +322,7 @@ class TestReads:
     """Each subcommand accepts exactly the config keys it reads, and hashes them."""
 
     def test_every_subcommand_key_pair(self, tmp_path, capsys):
-        assert sum(map(len, READ_KEYS.values())) == 50
+        assert sum(map(len, READ_KEYS.values())) == 49
         pairs = [(command, key) for command in MINIMAL for key in ALL_KEYS]
         assert len(pairs) == 76
         rejected = []
@@ -344,7 +343,7 @@ class TestReads:
             assert code == 2, (command, key)
             assert err.startswith(f"config error: {command} does not read {named}; "
                                   "it reads "), (command, key, err)
-        assert len(rejected) == 26
+        assert len(rejected) == 27
 
     @pytest.mark.parametrize("command", list(MINIMAL))
     def test_every_read_key_changes_the_hash(self, tmp_path, command):
@@ -1132,6 +1131,7 @@ class TestScanRowsMatchRecords:
 
     def test_fig2(self, tmp_path, mzi, lo):
         config = self._scan_config(tmp_path, mzi, lo, "fig2")
+        single = self._scan_config(tmp_path, mzi, lo, "single")
         table = run_fig2(config)
         gamma = config.gamma
         for chi, theta2, *cells in table.rows:
@@ -1144,6 +1144,10 @@ class TestScanRowsMatchRecords:
             except _SENTINELS:
                 expected = [None] * 4
             assert cells == expected, (chi, theta2)
+            # One port field: fig2's intensity is single's, to the bit.
+            single.theta2, single.chi = theta2, chi
+            if cells[3] is not None:
+                assert cells[3] == run_single(single)["port_intensity"], (chi, theta2)
         assert table.sentinel_rows == sum(row[2] is None for row in table.rows) > 0
 
     def test_fig4(self, tmp_path, mzi, lo):
@@ -1196,9 +1200,9 @@ class TestScanMatchesScalarChain:
     def test_fig2(self, tmp_path, mzi, lo):
         config = self._scan_config(tmp_path, mzi, lo, "fig2")
         table = run_fig2(config)
-        alpha_mag = abs(cmath.rect(math.sqrt(config.n_photons), config.input_phase))
+        alpha = cmath.rect(math.sqrt(config.n_photons), config.input_phase)
         expected = [[chi, theta2, *scalar_chain.fig2_cells(theta2, chi, config.gamma,
-                                                           alpha_mag)]
+                                                           alpha)]
                     for chi in config.chi_values for theta2 in RECORD_GRID]
         assert table.rows == expected
         assert table.sentinel_rows == sum(row[2] is None for row in expected) > 0
@@ -1287,6 +1291,25 @@ class TestStrongLo:
         saturation = json.loads(capsys.readouterr().out)["saturation"]
         assert all(math.isfinite(value) for value in saturation.values())
         assert main(["fig4", "--config", fig4_cfg]) == 0
+
+    @pytest.mark.parametrize("command, raw, message", [
+        # A key the run does not read is named before any bound on it.
+        ("fig4", {"mzi": {"n_photons": 1e308}, "detector": DETECTOR},
+         "fig4 does not read mzi.n_photons; it reads mzi.chi, mzi.gamma, "
+         "mzi.input_phase, lo, detector, n_values, scan, output"),
+        ("single", {"mzi": {"theta2": 0.7, "chi": 0.01}, "detector": DETECTOR,
+                    "n_values": [1e308]},
+         "single does not read n_values; it reads mzi, lo, detector, output.path"),
+        # The bound names the largest |alpha| the run evaluates.
+        ("fig4", {"mzi": {"chi": 0.01}, "lo": {"beta_mag": 1.4e154}, "detector": DETECTOR,
+                  "n_values": [1.0]},
+         MESSAGE.replace("|alpha|=10.0", "|alpha|=1.0")),
+    ], ids=["fig4 n_photons", "single n_values", "fig4 n_values"])
+    def test_bound_follows_the_read_check(self, tmp_path, capsys, command, raw, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_library_raises_value_error(self):
         params = MziParams(theta2=0.7, chi=0.01, alpha=10.0 + 0j)

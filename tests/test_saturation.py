@@ -26,6 +26,7 @@ from psamzi import (
     quadrature_mean,
     saturated_quadrature,
 )
+from psamzi.amplification import readout_phases
 from psamzi.saturation import error_ratio_fields
 
 FIG4_DETECTOR = DetectorParams(k_max=450.0, n_sat=500.0)
@@ -268,14 +269,19 @@ class TestLinearInversion:
                           xi=rng.uniform(-math.pi, math.pi), delta=rng.uniform(-0.1, 0.1))
             det = DetectorParams(k_max=10.0 ** rng.uniform(-2.0, 4.0),
                                  n_sat=10.0 ** rng.uniform(-1.0, 6.0))
-            alphas = [coherent_amplitude(10.0 ** rng.uniform(-2.0, 5.0),
-                                         rng.uniform(-math.pi, math.pi))]
+            alpha = coherent_amplitude(10.0 ** rng.uniform(-2.0, 5.0),
+                                       rng.uniform(-math.pi, math.pi))
             grid = [rng.uniform(0.0, math.pi / 2) for _ in range(50)]
-            for fields in error_ratio_fields(grid, rng.uniform(-1.5, 1.5),
-                                             rng.uniform(-math.pi, math.pi), alphas, lo, det):
+            chi, gamma = rng.uniform(-1.5, 1.5), rng.uniform(-math.pi, math.pi)
+            for theta2, fields in zip(grid, error_ratio_fields(grid, chi, gamma, [alpha],
+                                                               lo, det)):
                 if fields is not None:
                     points += 1
-                    assert not fields[-1]
+                    params = MziParams(theta2=theta2, chi=chi, alpha=alpha, gamma=gamma)
+                    alpha_f_mag = chi_tilde_exact(params).alpha_f_mag
+                    _, clamped = readout_phases([fields[3]], [alpha_f_mag],
+                                                det.k_max, det.n_sat)[0]
+                    assert not clamped
         assert points == 15_000
 
     def test_zero_amplitude_boundary(self):

@@ -176,7 +176,7 @@ class TestEstimator:
         with contextlib.redirect_stdout(printed):
             exec(block, {})
         assert printed.getvalue() == commented + "\n"
-        assert commented == "0.006848761286902261"
+        assert commented == "0.00684876128690215"
 
     def test_spread_matches_error_propagation(self):
         # Statistical check in the regime where the propagation formula is

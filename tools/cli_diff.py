@@ -60,6 +60,10 @@ HOISTED = {
              "lo": {"beta_mag": 5.0, "xi": 1.2, "delta": 1e-3}, "detector": DETECTOR,
              "n_values": [0, 100, 2000], "scan": HOISTED_SCAN},
 }
+# A working point where |alpha| / sqrt(2) * |unit| and |alpha / sqrt(2) * unit|
+# differ in the last bit.
+PORT_FIELD = {"theta2": 0.3, "chi": 0.01, "gamma": 0.05, "input_phase": 0.3,
+              "n_photons": 100.0}
 # A valid run of each subcommand plus a key it does not read.
 UNREAD = {"fig2": {"mzi": {"chi": 0.5}}, "fig3": {"detector": DETECTOR},
           "fig4": {"detector": DETECTOR, "chi_values": [1e-3]},
@@ -127,6 +131,19 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "scan_variable": {"scan": {"variable": "theta2"}},
         # json writes and reads NaN, which is not a finite number.
         "nan_chi": {"mzi": {"theta2": 0.7, "chi": math.nan}},
+        # The detector-count bound of keys the run does not read, and of the
+        # largest |alpha| it does.
+        "fig4_n_photons_1e308": {"mzi": {"n_photons": 1e308}, "detector": DETECTOR},
+        "single_n_values_1e308": {"mzi": POINTS["below"], "detector": DETECTOR,
+                                  "n_values": [1e308]},
+        "fig4_n_values_1_lo_1.4e154": {**STRONG_FIG4, "lo": {"beta_mag": 1.4e154},
+                                       "n_values": [1.0]},
+        "single_precision_3": {"mzi": POINTS["below"], "output": {"precision": 3}},
+        "port_field_fig2": {"mzi": {key: PORT_FIELD[key]
+                                    for key in ("gamma", "input_phase", "n_photons")},
+                            "chi_values": [PORT_FIELD["chi"]],
+                            "scan": {"variable": "theta2", "grid": [PORT_FIELD["theta2"]]}},
+        "port_field_single": {"mzi": PORT_FIELD},
     }
     for n in DARK_EDGE_SINGLE_STEPS:
         objects[f"dark_edge_{n}"] = {"mzi": {"theta2": float_steps(DARK, n), "chi": 0.01},
@@ -235,6 +252,15 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("fig2 --scan not a number", ["fig2", "--scan", "theta2", "a", "1", "3"]),
         ("single mzi.chi 1e400 as an integer", ["single", "--config", f["chi_1e400"]]),
         ("single mzi.chi of 4301 digits", ["single", "--config", f["chi_4301_digits"]]),
+        ("fig4 mzi.n_photons 1e308", ["fig4", "--config", f["fig4_n_photons_1e308"]]),
+        ("single n_values [1e308]", ["single", "--config", f["single_n_values_1e308"]]),
+        ("fig4 n_values [1.0], LO 1.4e154",
+         ["fig4", "--config", f["fig4_n_values_1_lo_1.4e154"]]),
+        ("single output.precision 3", ["single", "--config", f["single_precision_3"]]),
+        ("fig2 one angle where the port intensities differed, json",
+         ["fig2", "--config", f["port_field_fig2"]] + FORMATS["json"]),
+        ("single where the port intensities differed",
+         ["single", "--config", f["port_field_single"]]),
     ]
     for name in UNREAD:
         seed = ["--seed", "1"] if name == "fig3" else []
