@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DarkPointSingularity, NoRoot, ZeroAmplitude
-from .optics import MziParams, port_amplitudes, wrap_angle
+from .optics import MziParams, port_amplitudes, port_fields, wrap_angle
 
 __all__ = ["AmplifiedPhase", "WeakValue", "chi_tilde_aav", "chi_tilde_exact",
            "invert_chi", "invert_chi_branches", "weak_value"]
@@ -100,28 +100,23 @@ def aav_phase(a_w_reals: list[float | None], chi: float) -> list[float | None]:
             else wrap_angle(phase) for a_w in a_w_reals]
 
 
-def exact_phase(units: list[complex],
-                alphas: list[complex]) -> tuple[list[float], list[list[float | None]]]:
-    """Amplified phases of unit port amplitudes, and |alpha_f| over them per alpha.
+def exact_phase(units: list[complex], field_rows: list[list[complex]]
+                ) -> tuple[list[float], list[list[float | None]]]:
+    """Amplified phases of unit port amplitudes, and |alpha_f| of their port fields.
 
     Returns chi_tilde = arg(unit) wrapped to (-pi, pi] for each unit, and for
-    each input amplitude alpha a list of |alpha_f|, the modulus of the port
-    field alpha / sqrt(2) * unit as ``propagate_mzi`` forms it, with None
-    where the amplitude vanishes and its phase is undefined.  Each unit's
-    modulus and phase are formed once for every alpha.
-    ``chi_tilde_exact`` calls it with one unit and one alpha.
+    each row of ``port_fields`` over the units the |alpha_f| = abs(field),
+    None where it or |unit| is at most ZERO_AMPLITUDE_TOL (``readout_phases``'
+    rule) and the phase is undefined.  Each unit's modulus and phase are
+    formed once for every row; ``chi_tilde_exact`` passes one unit and one row.
     """
     moduli = [abs(unit) for unit in units]
     phases = [wrap_angle(cmath.phase(unit)) for unit in units]
-    mags = []
-    for alpha in alphas:
-        scale = alpha / math.sqrt(2.0)
-        # At the float dark point rounding leaves |unit| near 1e-16, which a
-        # large N would lift above the threshold; the phase of that residue
-        # is noise.
-        mags.append([None if min(mag := abs(scale * unit), modulus) < ZERO_AMPLITUDE_TOL
-                     else mag for unit, modulus in zip(units, moduli)])
-    return phases, mags
+    # At the float dark point rounding leaves |unit| near 1e-16, which a large
+    # N would lift above the threshold; the phase of that residue is noise.
+    return phases, [[None if min(mag := abs(field), modulus) <= ZERO_AMPLITUDE_TOL
+                     else mag for field, modulus in zip(fields, moduli)]
+                    for fields in field_rows]
 
 
 def readout_phases(readouts: list[float], alpha_f_mags: list[float | None],
@@ -131,8 +126,8 @@ def readout_phases(readouts: list[float], alpha_f_mags: list[float | None],
     A readout x through the small-signal gain k_max / N_sat is read as
     (k_max / N_sat) |alpha_f| sin(chi_tilde).  The ratio is clipped into
     [-1, 1] with a flag, so a noisy excursion is kept, not discarded; a NaN
-    ratio stays NaN and unflagged.  None where |alpha_f| vanishes, and where
-    it is None, a vanishing amplitude by ``exact_phase``'s rule.
+    ratio stays NaN and unflagged.  None where |alpha_f| is at most
+    ZERO_AMPLITUDE_TOL, ``exact_phase``'s zero rule, or None.
     """
     return [None if mag is None or mag <= ZERO_AMPLITUDE_TOL
             else (math.asin(min(max(ratio := x * n_sat / (k_max * mag), -1.0), 1.0)),
@@ -175,14 +170,14 @@ def chi_tilde_aav(params: MziParams) -> AmplifiedPhase:
 def chi_tilde_exact(params: MziParams) -> AmplifiedPhase:
     """Exact amplified phase, valid at any coupling strength.
 
-    Phase and magnitude both come from the unit port amplitude: chi_tilde =
-    arg(alpha_f) - arg(alpha) wrapped to (-pi, pi] and |alpha_f| = |alpha /
-    sqrt(2) * unit|, the modulus of ``propagate_mzi``'s port field.  Raises
-    ZeroAmplitude at an exact dark point, where the phase is undefined.
+    chi_tilde = arg(alpha_f) - arg(alpha) wrapped to (-pi, pi] is the phase
+    of the unit port amplitude, and |alpha_f| the modulus of the port field
+    of ``port_fields``, as ``propagate_mzi`` forms it.  Raises ZeroAmplitude
+    at an exact dark point, where the phase is undefined.
     """
     theta2, chi, gamma = params.theta2, params.chi, params.gamma
-    phases, mags = exact_phase(port_amplitudes([theta2], [chi], gamma)[0],
-                               [params.alpha])
+    units = port_amplitudes([theta2], [chi], gamma)[0]
+    phases, mags = exact_phase(units, port_fields(units, [params.alpha]))
     if mags[0][0] is None:
         raise ZeroAmplitude(
             f"postselected amplitude vanishes at theta2={theta2}, "

@@ -116,8 +116,8 @@ def port_amplitudes(grid: list[float], chis: list[float],
     """Closed-form postselected-port amplitudes behind a balanced first splitter.
 
     One list per chi, over the theta2 grid, of the unit-scale amplitude
-    e^{i chi} cos(theta2) - e^{i gamma} sin(theta2); the port field is
-    alpha / sqrt(2) times it.  Each angle's terms are formed once for every
+    e^{i chi} cos(theta2) - e^{i gamma} sin(theta2); ``port_fields`` scales
+    it into the port field.  Each angle's terms are formed once for every
     chi.  ``propagate_mzi`` calls it with a one-angle, one-chi grid.
     """
     arm2 = cmath.exp(1j * gamma)
@@ -126,19 +126,24 @@ def port_amplitudes(grid: list[float], chis: list[float],
             for arm1 in [cmath.exp(1j * chi) for chi in chis]]
 
 
+def port_fields(units: list[complex], alphas: list[complex]) -> list[list[complex]]:
+    """The port fields alpha / sqrt(2) * unit, one row per alpha, over the units."""
+    return [[scale * unit for unit in units]
+            for scale in [alpha / math.sqrt(2.0) for alpha in alphas]]
+
+
 def propagate_mzi(params: MziParams) -> PortFields:
     """Propagate the input state through both splitters and the arm phases.
 
-    The port fields are alpha / sqrt(2) times the unit amplitudes: the
-    postselected one from ``port_amplitudes`` and its complement
+    Both port fields come from ``port_fields``, with the unit amplitudes of
+    the postselected port from ``port_amplitudes`` and of its complement
     -i (e^{i chi} sin(theta2) + e^{i gamma} cos(theta2)).
     """
     theta2, chi, gamma = params.theta2, params.chi, params.gamma
-    scale = params.alpha / math.sqrt(2.0)
     unit_f = port_amplitudes([theta2], [chi], gamma)[0][0]
     unit_fbar = (cmath.exp(1j * chi) * math.sin(theta2)
                  + cmath.exp(1j * gamma) * math.cos(theta2))
-    return PortFields(alpha_f=scale * unit_f, alpha_fbar=-1j * scale * unit_fbar)
+    return PortFields(*port_fields([unit_f, -1j * unit_fbar], [params.alpha])[0])
 
 
 def intensity_difference(params: MziParams) -> float:

@@ -18,8 +18,8 @@ from .config import RunConfig, _build, config_hash, linspace, strictly_monotone
 from .errors import ConfigError, ZeroAmplitude
 from .homodyne import phase_sensitivity, quadrature_mean, quadrature_stats_exact
 from .optics import (coherent_amplitude, intensity_difference, port_amplitudes,
-                     propagate_mzi, theta2_in_range)
-from .saturation import check_lo_strength, error_ratio_fields
+                     port_fields, propagate_mzi, theta2_in_range)
+from .saturation import SaturationReport, check_lo_strength, error_ratio_fields
 from .shots import averaged_stats, draw_shots, uncertainty_vs_m
 
 # Exposes the amplification ramp without touching the dark-point singularity.
@@ -141,7 +141,7 @@ def run_fig2(config: RunConfig, workers: int = 1) -> Table:
             for point in weak_values(grid, gamma)]
     rows: list[list[object]] = []
     for chi, units in zip(chi_values, port_amplitudes(grid, chi_values, gamma)):
-        phases, (mags,) = exact_phase(units, [alpha])
+        phases, (mags,) = exact_phase(units, port_fields(units, [alpha]))
         for theta2, a_w, aav, chi_tilde, mag in zip(grid, a_ws, aav_phase(a_ws, chi),
                                                     phases, mags):
             if a_w is None or mag is None:
@@ -326,8 +326,7 @@ def run_single(config: RunConfig) -> dict:
         _build(check_lo_strength, beta_mag=lo.beta_mag, alpha_mag=abs(params.alpha))
         fields = next(error_ratio_fields([params.theta2], params.chi, params.gamma,
                                          [params.alpha], lo, config.detector))
-        names = ["n1", "n2", "x_linear", "x_saturated", "chi_tilde_biased", "eta_e"]
-        record["saturation"] = None if fields is None else dict(zip(names, fields))
+        record["saturation"] = None if fields is None else asdict(SaturationReport(*fields))
     return record
 
 

@@ -18,7 +18,7 @@ from .amplification import (chi_tilde_exact, exact_phase, readout_phases, weak_v
                             weak_values)
 from .errors import ZeroAmplitude, ZeroSignal
 from .homodyne import LoConfig, quadrature_means
-from .optics import MziParams, port_amplitudes
+from .optics import MziParams, port_amplitudes, port_fields
 
 __all__ = ["DetectorParams", "SaturationReport", "detector_counts", "detector_current",
            "error_ratio", "invert_phase_linear_model", "saturated_quadrature"]
@@ -152,21 +152,22 @@ def error_ratio_fields(grid: list[float], chi: float, gamma: float,
     amplitude is not, gives None, and so does a point whose amplitude
     vanishes or whose amplified phase is zero.  The dark rule, the unit port
     amplitude and its phase are formed once per angle, the port field's
-    scale once per alpha and the LO terms once per run; ``error_ratio``
-    takes the one point of a one-angle, one-alpha grid.  Points come one at
-    a time, so a caller that keeps a few fields of each holds no others.
-    The inversion clips only by rounding, since |x_saturated| N_sat / k_max
-    <= |x_bar| <= |alpha_f|, so the fields carry no clamp flag.
+    scale once per alpha, each port field once, for ``exact_phase``, the
+    counts and the quadrature mean, and the LO terms once per run;
+    ``error_ratio`` takes the one point of a one-angle, one-alpha grid.
+    Points come one at a time, so a caller that keeps a few fields of each
+    holds no others.  The inversion clips only by rounding, since
+    |x_saturated| N_sat / k_max <= |x_bar| <= |alpha_f|, so the fields carry
+    no clamp flag.
     """
     darks = [point is None for point in weak_values(grid, gamma)]
     units = port_amplitudes(grid, [chi], gamma)[0]
-    phases, mag_rows = exact_phase(units, alphas)
+    field_rows = port_fields(units, alphas)
+    phases, mag_rows = exact_phase(units, field_rows)
     xi = lo.effective_phase
     slope = det.k_max / det.n_sat
-    for alpha, mags in zip(alphas, mag_rows):
+    for alpha, alpha_fs, mags in zip(alphas, field_rows, mag_rows):
         check_lo_strength(lo.beta_mag, abs(alpha))
-        scale = alpha / math.sqrt(2.0)
-        alpha_fs = [scale * unit for unit in units]
         counts = _count_pairs(lo.beta_mag, xi, alpha_fs)
         x_bars = quadrature_means(alpha_fs, xi)
         x_sats = _current_differences(lo.beta_mag, counts, x_bars, det)

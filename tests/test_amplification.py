@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 import psamzi
 from psamzi import (
     DarkPointSingularity,
+    DetectorParams,
+    LoConfig,
     MziParams,
     NoRoot,
     ZeroAmplitude,
@@ -25,6 +27,8 @@ from psamzi import (
     chi_tilde_aav,
     coherent_amplitude,
     chi_tilde_exact,
+    detector_counts,
+    error_ratio,
     invert_chi,
     invert_chi_branches,
     phase_shift,
@@ -33,7 +37,7 @@ from psamzi import (
     wrap_angle,
 )
 from psamzi import amplification, errors, homodyne, optics, saturation, shots
-from psamzi.amplification import IMAG_WARNING_RATIO, aav_phase
+from psamzi.amplification import IMAG_WARNING_RATIO, MERGE_ROUNDING, aav_phase
 
 SQ2 = math.sqrt(2.0)
 NEAR_DARK = math.pi / 4 - 0.003
@@ -208,10 +212,14 @@ class TestExactPhase:
             checked += 1
 
     def test_one_port_field(self):
-        # |alpha_f| is the modulus of the one port field alpha / sqrt(2) * unit,
-        # so chi_tilde_exact's magnitude squared is propagate_mzi's intensity to
-        # the bit, with gamma and the input phase away from zero on both sides
-        # of the dark point.
+        # |alpha_f| and the detector counts read the one port field of
+        # port_fields, so chi_tilde_exact's magnitude squared is propagate_mzi's
+        # intensity, and error_ratio's n1 and n2 are detector_counts of
+        # propagate_mzi's alpha_f, to the bit, with gamma and the input phase
+        # away from zero on both sides of the dark point.  The LO phase 1.2 + 1e-3
+        # is not the optimal pi/2 + arg(alpha).
+        lo = LoConfig(beta_mag=5.0, xi=1.2, delta=1e-3)
+        det = DetectorParams(k_max=450.0, n_sat=500.0)
         rng = np.random.default_rng(27)
 
         def signed(low, high):
@@ -224,8 +232,11 @@ class TestExactPhase:
             alpha = coherent_amplitude(float(10.0 ** rng.uniform(0.0, 4.0)),
                                        signed(0.01, math.pi))
             params = MziParams(theta2=theta2, chi=chi, alpha=alpha, gamma=gamma)
-            expected = propagate_mzi(params).intensity_f
-            assert chi_tilde_exact(params).alpha_f_mag**2 == expected, params
+            alpha_f = propagate_mzi(params).alpha_f
+            assert chi_tilde_exact(params).alpha_f_mag**2 == abs(alpha_f) ** 2, params
+            report = error_ratio(params, lo, det)
+            assert (report.n1, report.n2) == detector_counts(
+                lo.beta_mag, lo.effective_phase, alpha_f), params
 
     def test_dark_point_raises(self):
         # At the float dark point the unit port amplitude is a ~1e-16 rounding
@@ -427,6 +438,16 @@ class TestInvertChi:
         measured = _forward(theta2, chi, gamma)
         assert abs(math.tan(theta2) * math.sin(gamma - measured)) > 1.0
         assert abs(invert_chi(measured, theta2, gamma) - chi) < 1e-7
+
+    def test_exact_merge_bound(self):
+        # |tan(theta2) sin(gamma - chi_tilde)| equals 1 + MERGE_ROUNDING /
+        # cos(theta2) exactly: the bound is kept, and one float step lower in
+        # chi_tilde it is passed.
+        theta2, gamma, measured = 0.8380165915463175, -0.488669688141782, 1.5333002804073352
+        s = math.tan(theta2) * math.sin(gamma - measured)
+        assert abs(s) == 1.0 + MERGE_ROUNDING / abs(math.cos(theta2))
+        assert invert_chi_branches(measured, theta2, gamma) == (-0.03749604638756132,)
+        assert invert_chi_branches(math.nextafter(measured, 0.0), theta2, gamma) == ()
 
     def test_no_branch(self):
         assert invert_chi_branches(3.0, 0.3) == ()

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -1173,11 +1174,7 @@ class TestScanRowsMatchRecords:
             if report is None:
                 assert saturation is None and row[2:] == [None] * 3
                 continue
-            assert saturation == {
-                "n1": report.n1, "n2": report.n2, "x_linear": report.x_linear,
-                "x_saturated": report.x_saturated,
-                "chi_tilde_biased": report.chi_tilde_biased, "eta_e": report.eta_e,
-            }
+            assert saturation == asdict(report)
             assert row[2:] == [saturation["n1"], saturation["n2"], saturation["eta_e"]]
 
 
@@ -1363,3 +1360,33 @@ def test_dark_band_readers_agree(tmp_path, gamma, dark_steps):
             "single null": run_single(config)["saturation"] is None,
         }
         assert readers == dict.fromkeys(readers, step in dark_steps), step
+
+
+@pytest.mark.parametrize("n_photons, vanishes", [
+    # |alpha_f| is exactly 1e-15 here: at most ZERO_AMPLITUDE_TOL, so zero.
+    (3.2301542976940366e-30, True),
+    (3.2301542976940366e-30 * 1.001, False),
+], ids=["at 1e-15", "above 1e-15"])
+def test_zero_amplitude_readers_agree(tmp_path, n_photons, vanishes):
+    """chi_tilde_exact, error_ratio, fig2, fig4 and single share one zero rule."""
+    theta2, chi = 0.20467700760972934, 0.29490315138317835
+    point = {"mzi": {"theta2": theta2, "chi": chi, "n_photons": n_photons},
+             "detector": DETECTOR}
+    fig2 = run_fig2(_config(tmp_path, {"mzi": {"n_photons": n_photons},
+                                       "chi_values": [chi]}, [theta2])).rows[0]
+    fig4 = run_fig4(_config(tmp_path, {"mzi": {"chi": chi}, "detector": DETECTOR,
+                                       "n_values": [n_photons]}, [theta2])).rows[0]
+    config = _config(tmp_path, point)
+    params = config.mzi_params()
+    assert (abs(propagate_mzi(params).alpha_f) == 1e-15) == vanishes
+    record = run_single(config)
+    readers = {
+        "chi_tilde_exact": _raises(ZeroAmplitude, chi_tilde_exact, params),
+        "error_ratio": _raises(ZeroAmplitude, error_ratio, params, config.lo,
+                               config.detector),
+        "fig2 NA": fig2[2:] == [None] * 4,
+        "fig4 NA": fig4[2:] == [None] * 3,
+        "single nulls": [record[key] for key in ("chi_tilde_exact", "snr", "sensitivity",
+                                                 "saturation")] == [None] * 4,
+    }
+    assert readers == dict.fromkeys(readers, vanishes)

@@ -64,6 +64,12 @@ HOISTED = {
 # differ in the last bit.
 PORT_FIELD = {"theta2": 0.3, "chi": 0.01, "gamma": 0.05, "input_phase": 0.3,
               "n_photons": 100.0}
+# |alpha_f| is exactly 1e-15 here, the zero-amplitude tolerance.
+ZERO_EDGE = {"theta2": 0.20467700760972934, "chi": 0.29490315138317835,
+             "n_photons": 3.2301542976940366e-30}
+ZERO_EDGE_SCAN = {"variable": "theta2", "grid": [ZERO_EDGE["theta2"]]}
+# A corner where the complement's unit amplitude has zero parts.
+CORNER = {"theta2": math.pi / 2, "chi": -math.pi / 2, "gamma": math.pi}
 # A valid run of each subcommand plus a key it does not read.
 UNREAD = {"fig2": {"mzi": {"chi": 0.5}}, "fig3": {"detector": DETECTOR},
           "fig4": {"detector": DETECTOR, "chi_values": [1e-3]},
@@ -144,6 +150,14 @@ def write_inputs(folder: Path) -> dict[str, str]:
                             "chi_values": [PORT_FIELD["chi"]],
                             "scan": {"variable": "theta2", "grid": [PORT_FIELD["theta2"]]}},
         "port_field_single": {"mzi": PORT_FIELD},
+        "zero_edge_fig2": {"mzi": {"n_photons": ZERO_EDGE["n_photons"]},
+                           "chi_values": [ZERO_EDGE["chi"]], "scan": ZERO_EDGE_SCAN},
+        "zero_edge_fig4": {"mzi": {"chi": ZERO_EDGE["chi"]}, "detector": DETECTOR,
+                           "n_values": [ZERO_EDGE["n_photons"]], "scan": ZERO_EDGE_SCAN},
+        "zero_edge_single": {"mzi": ZERO_EDGE, "detector": DETECTOR},
+        "corner": {"mzi": CORNER},
+        "corner_det": {"mzi": CORNER, "detector": DETECTOR},
+        "corner_no_photons": {"mzi": {**CORNER, "n_photons": 0}},
     }
     for n in DARK_EDGE_SINGLE_STEPS:
         objects[f"dark_edge_{n}"] = {"mzi": {"theta2": float_steps(DARK, n), "chi": 0.01},
@@ -261,6 +275,17 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
          ["fig2", "--config", f["port_field_fig2"]] + FORMATS["json"]),
         ("single where the port intensities differed",
          ["single", "--config", f["port_field_single"]]),
+        ("fig2 |alpha_f| exactly 1e-15, json",
+         ["fig2", "--config", f["zero_edge_fig2"]] + FORMATS["json"]),
+        ("fig4 |alpha_f| exactly 1e-15, json",
+         ["fig4", "--config", f["zero_edge_fig4"]] + FORMATS["json"]),
+        ("single |alpha_f| exactly 1e-15, detector",
+         ["single", "--config", f["zero_edge_single"]]),
+        ("single theta2 pi/2, chi -pi/2, gamma pi", ["single", "--config", f["corner"]]),
+        ("single theta2 pi/2, chi -pi/2, gamma pi, detector",
+         ["single", "--config", f["corner_det"]]),
+        ("single theta2 pi/2, chi -pi/2, gamma pi, no photons",
+         ["single", "--config", f["corner_no_photons"]]),
     ]
     for name in UNREAD:
         seed = ["--seed", "1"] if name == "fig3" else []
