@@ -9,10 +9,10 @@ emitted scan row is a dark-point sentinel.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 
-from .config import ScanSpec, linspace, load_config, read_json_object
+from .config import OUTPUT_FORMATS, ScanSpec, linspace, load_config, read_json_object
 from .errors import ConfigError
 from .runner import (
     render_csv,
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar=("VAR", "START", "STOP", "POINTS"),
             help="override the scan grid, e.g. --scan theta2 0.05 0.78 200",
         )
-        cmd.add_argument("--format", choices=("csv", "json"), dest="fmt")
+        cmd.add_argument("--format", choices=OUTPUT_FORMATS, dest="fmt")
         if name == "fig3":
             cmd.add_argument("--seed", type=int, help="seed for Monte-Carlo columns")
     return parser
@@ -80,12 +80,13 @@ def _parse_scan_flag(values: list[str]) -> ScanSpec:
     return ScanSpec(variable=variable, grid=linspace(start_f, stop_f, n))
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(text: str, path: str | os.PathLike[str] | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
     except OSError as exc:
         reason = exc.strerror or exc
         raise ConfigError(f"cannot write output file {path}: {reason}") from exc

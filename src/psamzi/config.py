@@ -5,8 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import ConfigError
 from .homodyne import LoConfig
@@ -229,28 +229,28 @@ def strictly_monotone(grid: list[float]) -> bool:
     return all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
 
 
-def read_json_object(path: str | Path, what: str) -> dict:
+def read_json_object(path: str | os.PathLike[str], what: str) -> dict:
     """The JSON object in the file at ``path``; ``what`` names the file in errors."""
-    file_path = Path(path)
     try:
-        text = file_path.read_text(encoding="utf-8")
+        with open(os.fspath(path), encoding="utf-8") as handle:  # fspath refuses an int fd
+            text = handle.read()
     except FileNotFoundError as exc:
-        raise ConfigError(f"{what} file not found: {file_path}") from exc
+        raise ConfigError(f"{what} file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} file {file_path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {file_path}: {exc}") from exc
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     except ValueError as exc:  # an integer too long for int()
-        raise ConfigError(f"cannot read {what} file {file_path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} root must be a JSON object")
     return raw
 
 
 def load_config(
-    path: str | Path | None = None,
+    path: str | os.PathLike[str] | None = None,
     *,
     scan: ScanSpec | None = None,
     seed: int | None = None,

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .amplification import chi_tilde_exact, invert_chi, readout_phases
 from .errors import ZeroAmplitude
 from .homodyne import QUADRATURE_STD, QuadratureStats, phase_slope, quadrature_mean
 from .optics import MziParams
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -138,8 +138,7 @@ def uncertainty_vs_m(params: MziParams, m_grid: list[int]) -> list[UncertaintyPo
     for m in m_grid:
         _check_shot_count(m)
     amp = chi_tilde_exact(params)
-    slope = phase_slope(amp)
-    single_shot = QUADRATURE_STD / slope if slope > 0 else math.inf
+    single_shot = QUADRATURE_STD / phase_slope(amp)
     bands = [single_shot / math.sqrt(m) for m in m_grid]
     return [
         UncertaintyPoint(m=m, chi_tilde=amp.chi_tilde, lower=amp.chi_tilde - band,

@@ -39,7 +39,7 @@ def unit_port(theta2, chi, gamma):
 def exact_phase(unit, alpha):
     """(wrapped arg(unit), |alpha / sqrt(2) * unit|), or None where it vanishes."""
     mag = abs(alpha / math.sqrt(2.0) * unit)
-    if min(mag, abs(unit)) < ZERO_AMPLITUDE_TOL:
+    if min(mag, abs(unit)) <= ZERO_AMPLITUDE_TOL:
         return None
     return wrap(cmath.phase(unit)), mag
 
@@ -74,8 +74,6 @@ def fig4_cells(theta2, chi, gamma, alpha, beta_mag, xi, k_max, n_sat):
         * -math.expm1(-2.0 * beta_mag * abs(x_bar) / n_sat),
         x_bar,
     )
-    if mag <= ZERO_AMPLITUDE_TOL:
-        return [None] * 3
     arg = x_saturated * n_sat / (k_max * mag)
     chi_biased = math.asin(min(1.0, max(-1.0, arg)))
     return [n1, n2, abs(chi_biased - chi_tilde) / abs(chi_tilde)]

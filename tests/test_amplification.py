@@ -591,14 +591,16 @@ def _imported_packages(args, cwd):
 ])
 def test_closed_forms_load_no_numpy(args, tmp_path):
     # Only the Monte-Carlo needs numpy and its thread pool; numpy's import
-    # would cost most of a CLI run.
+    # would cost most of a CLI run.  Without ``site`` (-S), whose start-up
+    # hooks may load them first, psamzi itself loads no pathlib or typing.
     (tmp_path / "detector.json").write_text('{"detector": {"k_max": 450, "n_sat": 500}}')
     (tmp_path / "point.json").write_text('{"mzi": {"theta2": 0.78, "chi": 0.01}}')
-    result, packages = _imported_packages(args, tmp_path)
-    assert result.returncode == 0, result.stderr[-500:]
-    assert "psamzi" in packages
-    assert "numpy" not in packages
-    assert "concurrent" not in packages
+    for flags, unloaded in (([], {"numpy", "concurrent"}),
+                            (["-S"], {"numpy", "concurrent", "pathlib", "typing"})):
+        result, packages = _imported_packages([*flags, *args], tmp_path)
+        assert result.returncode == 0, result.stderr[-500:]
+        assert "psamzi" in packages
+        assert not packages & unloaded, (flags, packages & unloaded)
 
 
 def test_fig3_cli_loads_numpy_and_runs(tmp_path):

@@ -1390,3 +1390,9 @@ def test_zero_amplitude_readers_agree(tmp_path, n_photons, vanishes):
                                                  "saturation")] == [None] * 4,
     }
     assert readers == dict.fromkeys(readers, vanishes)
+    # So does the scalar reference that TestScanMatchesScalarChain compares with.
+    beam, det = config.lo, config.detector
+    alpha = cmath.rect(math.sqrt(n_photons), 0.0)
+    assert fig2[2:] == scalar_chain.fig2_cells(theta2, chi, 0.0, alpha)
+    assert fig4[2:] == scalar_chain.fig4_cells(theta2, chi, 0.0, alpha, beam.beta_mag,
+                                               beam.xi + beam.delta, det.k_max, det.n_sat)

@@ -276,6 +276,18 @@ class TestUncertaintyVsM:
         with pytest.raises(ValueError):
             uncertainty_vs_m(reference_params(), [1, 0])
 
+    def test_finite_band_at_smallest_slope(self):
+        # chi_tilde is fl(pi/2), where |cos| is smallest, and |alpha_f| is
+        # just above the zero tolerance: the slope is still a normal float.
+        params = MziParams(theta2=0.0, chi=math.pi / 2, alpha=math.sqrt(8e-30) + 0j)
+        amp = chi_tilde_exact(params)
+        assert amp.chi_tilde == math.pi / 2
+        assert math.isclose(amp.alpha_f_mag, 2e-15, rel_tol=1e-12)
+        point = uncertainty_vs_m(params, [1])[0]
+        # The band is about 4.08e30 wide on each side, so it swamps chi_tilde.
+        assert math.isclose(point.upper, 4.08e30, rel_tol=1e-3)
+        assert point.lower == -point.upper
+
     @pytest.mark.parametrize("m_grid", [[1, 2.5], [True], [1, 2.0]])
     def test_rejects_non_integer_counts(self, m_grid):
         # A float m used to give a row labelled int(m) with a sqrt(m) band.

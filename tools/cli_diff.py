@@ -243,6 +243,11 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("single --self-check malformed", below + ["--self-check", f["malformed"]]),
         ("single --self-check list", below + ["--self-check", f["list_root"]]),
         ("single --self-check missing", below + ["--self-check", f["missing"]]),
+        # Paths the messages name exactly as given, unnormalised.
+        ("fig2 --config ''", ["fig2", "--config", ""]),
+        ("fig2 --config ./missing//cfg.json", ["fig2", "--config", "./missing//cfg.json"]),
+        ("fig2 --out ''", ["fig2", "--out", ""]),
+        ("single --self-check ./x//y.json", below + ["--self-check", "./x//y.json"]),
         ("fig4 multi-fault detector", ["fig4", "--config", f["bad_detector"]]),
         ("fig2 mzi.theta1 pi/4", ["fig2", "--config", f["theta1_pi_4"]]),
         ("single mzi.theta1 0.3", ["single", "--config", f["theta1_0.3"]]),
