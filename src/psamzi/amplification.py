@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DarkPointSingularity, NoRoot, ZeroAmplitude
 from .optics import MziParams, port_amplitudes, port_fields, wrap_angle
@@ -40,8 +40,7 @@ EDGE_ROUNDING = 8 * sys.float_info.epsilon
 IMAG_WARNING_RATIO = 0.01
 
 
-@dataclass
-class WeakValue:
+class WeakValue(namedtuple("WeakValue", "c1 c2 overlap a_w")):
     """Interfering contributions of the postselected port and their ratio.
 
     ``c1`` and ``c2`` are the per-unit-input amplitudes of the two paths into
@@ -49,23 +48,18 @@ class WeakValue:
     ``a_w = c1 / overlap`` the weak value of the which-path projector.
     """
 
-    c1: complex
-    c2: complex
-    overlap: complex
-    a_w: complex
+    __slots__ = ()
 
 
-@dataclass
-class AmplifiedPhase:
+class AmplifiedPhase(namedtuple("AmplifiedPhase", "chi_tilde alpha_f_mag imag_warning",
+                                defaults=(False,))):
     """Amplified phase of the postselected port, plus the amplitude it rides on.
 
     ``imag_warning`` is set when the weak value has an imaginary component
     large enough that the phase is not purely quadrature-extractable.
     """
 
-    chi_tilde: float
-    alpha_f_mag: float
-    imag_warning: bool = False
+    __slots__ = ()
 
 
 def weak_values(grid: list[float],

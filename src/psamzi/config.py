@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import ConfigError
 from .homodyne import LoConfig
@@ -25,27 +25,24 @@ DEFAULT_RUNS = 200
 DEFAULT_BETA_MAG = math.sqrt(10.0)
 
 
-@dataclass
-class ScanSpec:
-    variable: str
-    grid: list[float]
+class ScanSpec(namedtuple("ScanSpec", "variable grid")):
+    __slots__ = ()
 
 
-@dataclass
-class ShotSpec:
-    seed: int | None = None
-    runs: int = DEFAULT_RUNS
+class ShotSpec(namedtuple("ShotSpec", "seed runs", defaults=(None, DEFAULT_RUNS))):
+    __slots__ = ()
 
 
-@dataclass
-class OutputSpec:
-    path: str | None = None
-    format: str = "csv"
-    precision: int = DEFAULT_PRECISION
+class OutputSpec(namedtuple("OutputSpec", "path format precision",
+                            defaults=(None, "csv", DEFAULT_PRECISION))):
+    __slots__ = ()
 
 
-@dataclass
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", [
+        "lo", "theta2", "gamma", "chi", "n_photons", "input_phase", "detector", "shots",
+        "scan", "output", "chi_values", "n_values", "keys"],
+        defaults=[None, 0.0, None, DEFAULT_N_PHOTONS, DEFAULT_INPUT_PHASE, None, ShotSpec(),
+                  None, OutputSpec(), None, None, ()])):
     """Resolved configuration for one CLI run.
 
     ``theta2`` and ``chi`` stay None when the config omits them; each runner
@@ -54,19 +51,7 @@ class RunConfig:
     ``keys`` names each key the file and the flags set, such as ``mzi.chi``.
     """
 
-    lo: LoConfig
-    theta2: float | None = None
-    gamma: float = 0.0
-    chi: float | None = None
-    n_photons: float = DEFAULT_N_PHOTONS
-    input_phase: float = DEFAULT_INPUT_PHASE
-    detector: DetectorParams | None = None
-    shots: ShotSpec = field(default_factory=ShotSpec)
-    scan: ScanSpec | None = None
-    output: OutputSpec = field(default_factory=OutputSpec)
-    chi_values: list[float] | None = None
-    n_values: list[float] | None = None
-    keys: tuple[str, ...] = ()
+    __slots__ = ()
 
     def mzi_params(self, theta2: float | None = None,
                    chi: float | None = None) -> MziParams:
@@ -163,7 +148,7 @@ def _grid(value: object, name: str) -> list[float]:
 
 
 # The only list of each section's keys, with the parser that checks its value.
-# The keys equal the fields of the dataclass the section builds.
+# The keys equal the fields of the record the section builds.
 _SECTIONS = {
     "mzi": {"theta2": _number, "gamma": _number, "chi": _number,
             "n_photons": _bounded(_number, 0), "input_phase": _number},
@@ -261,7 +246,7 @@ def load_config(
 
     Every file value and flag passes its schema rule before anything is
     built, so a malformed config fails before any computation starts; then
-    each dataclass is built once.
+    each record is built once.
     """
     raw = {} if path is None else read_json_object(path, "config")
     _reject_unknown(raw, _TOP_KEYS, "top-level")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .amplification import AmplifiedPhase, chi_tilde_aav, chi_tilde_exact, invert_chi
 from .errors import DomainError, ZeroSignal
@@ -24,34 +24,31 @@ __all__ = ["LoConfig", "QUADRATURE_STD", "QuadratureStats",
 QUADRATURE_STD = 0.5
 
 
-@dataclass
-class LoConfig:
+class LoConfig(namedtuple("LoConfig", "beta_mag xi delta")):
     """Local-oscillator settings: amplitude, nominal phase, and phase error."""
 
-    beta_mag: float
-    xi: float
-    delta: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.beta_mag, self.xi, self.delta))):
+    def __new__(cls, beta_mag: float, xi: float, delta: float = 0.0):
+        if not all(map(math.isfinite, (beta_mag, xi, delta))):
             raise ValueError(f"LO beta_mag, xi and delta must be finite, got "
-                             f"beta_mag={self.beta_mag}, xi={self.xi}, delta={self.delta}")
-        if self.beta_mag <= 0:
-            raise ValueError(f"LO amplitude must be positive, got {self.beta_mag}")
+                             f"beta_mag={beta_mag}, xi={xi}, delta={delta}")
+        if beta_mag <= 0:
+            raise ValueError(f"LO amplitude must be positive, got {beta_mag}")
+        return super().__new__(cls, beta_mag, xi, delta)
+
+    def _replace(self, **changes) -> LoConfig:
+        return type(self)(**{**self._asdict(), **changes})
 
     @property
     def effective_phase(self) -> float:
         return self.xi + self.delta
 
 
-@dataclass
-class QuadratureStats:
+class QuadratureStats(namedtuple("QuadratureStats", "mean std_dev snr sensitivity")):
     """Mean, fluctuation, SNR, and phase-estimation sensitivity of one readout."""
 
-    mean: float
-    std_dev: float
-    snr: float
-    sensitivity: float
+    __slots__ = ()
 
 
 def quadrature_means(alpha_fs: list[complex], xi: float) -> list[float]:

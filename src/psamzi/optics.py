@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -39,8 +39,7 @@ def theta2_in_range(theta2: float) -> bool:
     return 0.0 <= theta2 <= math.pi / 2
 
 
-@dataclass
-class MziParams:
+class MziParams(namedtuple("MziParams", "theta2 chi alpha gamma")):
     """All knobs of a single pass through the interferometer.
 
     The first splitter is 50:50.  Angles are radians: ``theta2`` is the second
@@ -49,17 +48,21 @@ class MziParams:
     amplitude; its squared magnitude is the mean photon number.
     """
 
-    theta2: float
-    chi: float
-    alpha: complex
-    gamma: float = field(default=0.0, kw_only=True)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not theta2_in_range(self.theta2):
-            raise ValueError(f"theta2 must lie in [0, pi/2], got {self.theta2}")
-        if not all(map(cmath.isfinite, (self.chi, self.gamma, self.alpha))):
-            raise ValueError(f"chi, gamma and alpha must be finite, got chi={self.chi}, "
-                             f"gamma={self.gamma}, alpha={self.alpha}")
+    def __new__(cls, theta2: float, chi: float, alpha: complex, *, gamma: float = 0.0):
+        if not theta2_in_range(theta2):
+            raise ValueError(f"theta2 must lie in [0, pi/2], got {theta2}")
+        if not all(map(cmath.isfinite, (chi, gamma, alpha))):
+            raise ValueError(f"chi, gamma and alpha must be finite, got chi={chi}, "
+                             f"gamma={gamma}, alpha={alpha}")
+        return super().__new__(cls, theta2, chi, alpha, gamma)
+
+    def _replace(self, **changes) -> MziParams:
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __getnewargs_ex__(self):  # copy and pickle pass gamma by keyword too
+        return (), self._asdict()
 
     @property
     def n_photons(self) -> float:
@@ -70,12 +73,10 @@ class MziParams:
         return cmath.phase(self.alpha)
 
 
-@dataclass
-class PortFields:
+class PortFields(namedtuple("PortFields", "alpha_f alpha_fbar")):
     """Output amplitudes of the two exit ports (port 3 is the postselected one)."""
 
-    alpha_f: complex
-    alpha_fbar: complex
+    __slots__ = ()
 
     @property
     def intensity_f(self) -> float:

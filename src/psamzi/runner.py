@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .amplification import aav_phase, chi_tilde_exact, exact_phase, weak_values
 from .config import RunConfig, _build, config_hash, linspace, strictly_monotone
@@ -42,17 +42,13 @@ FIG3_DEFAULT_CHI = 1e-2
 FIG4_DEFAULT_CHI = 1e-4
 
 
-@dataclass
-class Table:
+class Table(namedtuple("Table", "columns rows config_sha256 seed", defaults=(None,))):
     """Ordered scan output with its provenance: the config hash and the seed.
 
     A row whose last cell is NA is a sentinel row.
     """
 
-    columns: list[str]
-    rows: list[list[object]]
-    config_sha256: str
-    seed: int | None = None
+    __slots__ = ()
 
     @property
     def sentinel_rows(self) -> int:
@@ -75,7 +71,7 @@ def default_theta2_grid() -> list[float]:
 # standing for all of its keys: the keys it hashes, plus output.path,
 # output.format and scan.variable, which change no data byte.
 _READS = {
-    "fig2": ("theta2", "mzi.gamma mzi.n_photons mzi.input_phase chi_values scan output"),
+    "fig2": ("theta2", "mzi.gamma mzi.n_photons chi_values scan output"),
     "fig3": ("m", "mzi lo shots scan output"),
     "fig4": ("theta2", "mzi.chi mzi.gamma mzi.input_phase lo detector n_values scan output"),
     "single": (None, "mzi lo detector output.path"),
@@ -135,7 +131,7 @@ def run_fig2(config: RunConfig, workers: int = 1) -> Table:
     _check_reads(config, "fig2")
     chi_values = config.chi_values or list(DEFAULT_CHI_VALUES)
     gamma = config.gamma
-    alpha = coherent_amplitude(config.n_photons, config.input_phase)
+    alpha = coherent_amplitude(config.n_photons)
     grid = _theta2_grid(config)
     a_ws = [None if point is None else point[3].real
             for point in weak_values(grid, gamma)]
@@ -233,7 +229,7 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
         theta2=theta2,
         chi=chi,
         n_photons=config.n_photons,
-        lo=asdict(lo),
+        lo=lo._asdict(),
         m_grid=m_grid,
         seed=seed,
         runs=runs,
@@ -271,8 +267,8 @@ def run_fig4(config: RunConfig, workers: int = 1) -> Table:
                 rows.append([theta2, n_photons, None, None, None])
             else:
                 rows.append([theta2, n_photons, fields[0], fields[1], fields[5]])
-    sha = _config_sha256(config, "fig4", theta2_grid=grid, chi=chi, lo=asdict(lo),
-                         detector=asdict(det), n_values=n_values)
+    sha = _config_sha256(config, "fig4", theta2_grid=grid, chi=chi, lo=lo._asdict(),
+                         detector=det._asdict(), n_values=n_values)
     return Table(["theta2", "n_photons", "n1", "n2", "eta_e"], rows, sha)
 
 
@@ -293,8 +289,8 @@ def run_single(config: RunConfig) -> dict:
         theta2=params.theta2,
         chi=params.chi,
         n_photons=config.n_photons,
-        lo=asdict(lo),
-        detector=None if config.detector is None else asdict(config.detector),
+        lo=lo._asdict(),
+        detector=None if config.detector is None else config.detector._asdict(),
     )
 
     point = weak_values([params.theta2], params.gamma)[0]
@@ -326,7 +322,8 @@ def run_single(config: RunConfig) -> dict:
         _build(check_lo_strength, beta_mag=lo.beta_mag, alpha_mag=abs(params.alpha))
         fields = next(error_ratio_fields([params.theta2], params.chi, params.gamma,
                                          [params.alpha], lo, config.detector))
-        record["saturation"] = None if fields is None else asdict(SaturationReport(*fields))
+        record["saturation"] = (None if fields is None
+                                else SaturationReport(*fields)._asdict())
     return record
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .amplification import (chi_tilde_exact, exact_phase, readout_phases, weak_value,
                             weak_values)
@@ -24,36 +24,29 @@ __all__ = ["DetectorParams", "SaturationReport", "detector_counts", "detector_cu
            "error_ratio", "invert_phase_linear_model", "saturated_quadrature"]
 
 
-@dataclass
-class DetectorParams:
+class DetectorParams(namedtuple("DetectorParams", "k_max n_sat")):
     """Opto-electric conversion ceiling and saturation threshold photon number."""
 
-    k_max: float
-    n_sat: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.k_max, self.n_sat))):
-            raise ValueError(
-                f"detector parameters must be finite, got k_max={self.k_max}, "
-                f"n_sat={self.n_sat}"
-            )
-        if self.k_max <= 0 or self.n_sat <= 0:
-            raise ValueError(
-                f"detector parameters must be positive, got k_max={self.k_max}, "
-                f"n_sat={self.n_sat}"
-            )
+    def __new__(cls, k_max: float, n_sat: float):
+        if not all(map(math.isfinite, (k_max, n_sat))):
+            raise ValueError(f"detector parameters must be finite, got k_max={k_max}, "
+                             f"n_sat={n_sat}")
+        if k_max <= 0 or n_sat <= 0:
+            raise ValueError(f"detector parameters must be positive, got k_max={k_max}, "
+                             f"n_sat={n_sat}")
+        return super().__new__(cls, k_max, n_sat)
+
+    def _replace(self, **changes) -> DetectorParams:
+        return type(self)(**{**self._asdict(), **changes})
 
 
-@dataclass
-class SaturationReport:
+class SaturationReport(namedtuple("SaturationReport",
+                                  "n1 n2 x_linear x_saturated chi_tilde_biased eta_e")):
     """Full chain of one saturated readout and the phase bias it produces."""
 
-    n1: float
-    n2: float
-    x_linear: float
-    x_saturated: float
-    chi_tilde_biased: float
-    eta_e: float
+    __slots__ = ()
 
 
 def detector_current(n_photons: float, det: DetectorParams) -> float:

@@ -9,7 +9,7 @@ leaves the mean unchanged and shrinks the fluctuation by 1/sqrt(M).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .amplification import chi_tilde_exact, invert_chi, readout_phases
 from .errors import ZeroAmplitude
@@ -34,17 +34,15 @@ def _check_shot_count(m: object) -> None:
         raise ValueError(f"shot count must be an integer >= 1, got {m!r}")
 
 
-@dataclass
-class ChiEstimate:
+class ChiEstimate(namedtuple("ChiEstimate", "chi_tilde_hat chi_hat clamped",
+                             defaults=(False,))):
     """Phase estimate extracted from a batch of quadrature samples.
 
     ``clamped`` is set when the normalized sample mean fell outside [-1, 1]
     (possible at small M) and was clipped before the arcsin.
     """
 
-    chi_tilde_hat: float
-    chi_hat: float
-    clamped: bool = False
+    __slots__ = ()
 
 
 def sample_shots(alpha_f: complex, xi: float, m: int, seed: int) -> np.ndarray:
@@ -117,14 +115,10 @@ def estimate_chi_from_run(
     )
 
 
-@dataclass
-class UncertaintyPoint:
+class UncertaintyPoint(namedtuple("UncertaintyPoint", "m chi_tilde lower upper")):
     """Amplified phase with its +/- one-sigma band after M-shot averaging."""
 
-    m: int
-    chi_tilde: float
-    lower: float
-    upper: float
+    __slots__ = ()
 
 
 def uncertainty_vs_m(params: MziParams, m_grid: list[int]) -> list[UncertaintyPoint]:

@@ -591,12 +591,14 @@ def _imported_packages(args, cwd):
 ])
 def test_closed_forms_load_no_numpy(args, tmp_path):
     # Only the Monte-Carlo needs numpy and its thread pool; numpy's import
-    # would cost most of a CLI run.  Without ``site`` (-S), whose start-up
-    # hooks may load them first, psamzi itself loads no pathlib or typing.
+    # would cost most of a CLI run.  The records are named tuples, so nothing
+    # loads dataclasses and the inspect it imports.  Without ``site`` (-S),
+    # whose start-up hooks may load them first, psamzi itself loads no pathlib
+    # or typing.
     (tmp_path / "detector.json").write_text('{"detector": {"k_max": 450, "n_sat": 500}}')
     (tmp_path / "point.json").write_text('{"mzi": {"theta2": 0.78, "chi": 0.01}}')
-    for flags, unloaded in (([], {"numpy", "concurrent"}),
-                            (["-S"], {"numpy", "concurrent", "pathlib", "typing"})):
+    never = {"numpy", "concurrent", "dataclasses", "inspect"}
+    for flags, unloaded in (([], never), (["-S"], never | {"pathlib", "typing"})):
         result, packages = _imported_packages([*flags, *args], tmp_path)
         assert result.returncode == 0, result.stderr[-500:]
         assert "psamzi" in packages

@@ -1,12 +1,13 @@
 """Config loading, figure runners, CLI exit codes, and output determinism."""
 
 import cmath
+import copy
 import json
 import math
+import pickle
 import random
 import re
 import threading
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psamzi
 from psamzi import (
     ConfigError,
     DarkPointSingularity,
@@ -42,6 +44,7 @@ from psamzi.config import (
     DEFAULT_BETA_MAG,
     RunConfig,
     ScanSpec,
+    OutputSpec,
     ShotSpec,
     linspace,
     load_config,
@@ -249,9 +252,8 @@ class TestConfig:
 
 # The config keys each subcommand reads, as the README's table states them.
 READ_KEYS = {
-    "fig2": {"mzi.gamma", "mzi.n_photons", "mzi.input_phase", "chi_values",
-             "scan.variable", "scan.grid", "output.path", "output.format",
-             "output.precision"},
+    "fig2": {"mzi.gamma", "mzi.n_photons", "chi_values", "scan.variable", "scan.grid",
+             "output.path", "output.format", "output.precision"},
     "fig3": {*(f"mzi.{key}" for key in _SECTIONS["mzi"]), "lo.beta_mag", "lo.xi",
              "lo.delta", "shots.seed", "shots.runs", "scan.variable", "scan.grid",
              "output.path", "output.format", "output.precision"},
@@ -323,7 +325,7 @@ class TestReads:
     """Each subcommand accepts exactly the config keys it reads, and hashes them."""
 
     def test_every_subcommand_key_pair(self, tmp_path, capsys):
-        assert sum(map(len, READ_KEYS.values())) == 49
+        assert sum(map(len, READ_KEYS.values())) == 48
         pairs = [(command, key) for command in MINIMAL for key in ALL_KEYS]
         assert len(pairs) == 76
         rejected = []
@@ -344,7 +346,7 @@ class TestReads:
             assert code == 2, (command, key)
             assert err.startswith(f"config error: {command} does not read {named}; "
                                   "it reads "), (command, key, err)
-        assert len(rejected) == 27
+        assert len(rejected) == 28
 
     @pytest.mark.parametrize("command", list(MINIMAL))
     def test_every_read_key_changes_the_hash(self, tmp_path, command):
@@ -358,6 +360,64 @@ class TestReads:
             other = {"scan.grid": [1, 20] if command == "fig3" else [0.5, 0.7]}
             changed = _with(base, key, {**OTHER, **other}[key], command)
             assert _sha(command, changed, tmp_path) != sha, key
+
+
+# One record of each kind the package defines.
+RECORDS = [
+    MziParams(0.1, 0.0, 1 + 0j, gamma=0.2), psamzi.PortFields(1j, 1.0),
+    psamzi.WeakValue(1.0, 1.0, 2.0, 0.5), psamzi.AmplifiedPhase(0.1, 1.0),
+    LoConfig(4.0, 1.2), psamzi.QuadratureStats(0.1, 0.5, 0.2, 0.3),
+    DetectorParams(400.0, 600.0), psamzi.SaturationReport(1.0, 2.0, 0.1, 0.1, 0.2, 0.01),
+    psamzi.ChiEstimate(0.1, 0.01), psamzi.UncertaintyPoint(1, 0.1, 0.0, 0.2),
+    ScanSpec("theta2", [0.1]), ShotSpec(), OutputSpec(), RunConfig(LoConfig(4.0, 1.2)),
+    Table(["chi"], [[0.1]], "sha"),
+]
+
+
+class TestRecords:
+    """The records are immutable named tuples with their dataclass-era keys and reprs."""
+
+    def test_asdict_keys(self):
+        # The config hash reads the LO and the detector through _asdict, and
+        # single's record the saturation report.
+        assert list(LoConfig(4.0, 1.2, 0.01)._asdict().items()) == [
+            ("beta_mag", 4.0), ("xi", 1.2), ("delta", 0.01)]
+        assert list(DetectorParams(400.0, 600.0)._asdict().items()) == [
+            ("k_max", 400.0), ("n_sat", 600.0)]
+        assert list(psamzi.SaturationReport(*range(6))._asdict()) == [
+            "n1", "n2", "x_linear", "x_saturated", "chi_tilde_biased", "eta_e"]
+
+    def test_gamma_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            MziParams(0.1, 0.0, 1 + 0j, 0.2)
+        assert MziParams(0.1, 0.0, 1 + 0j, gamma=0.2).gamma == 0.2
+
+    def test_repr(self):
+        assert repr(LoConfig(4.0, 1.2)) == "LoConfig(beta_mag=4.0, xi=1.2, delta=0.0)"
+        assert (repr(MziParams(0.1, 0.0, 1 + 0j, gamma=0.2))
+                == "MziParams(theta2=0.1, chi=0.0, alpha=(1+0j), gamma=0.2)")
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+    def test_immutable(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 1.0)
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+    def test_copy_and_pickle(self, record):
+        for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin == record
+
+    @pytest.mark.parametrize("record, change, message", [
+        (MziParams(0.1, 0.0, 1 + 0j), {"theta2": 2.0}, "theta2 must lie in"),
+        (LoConfig(4.0, 1.2), {"beta_mag": 0.0}, "LO amplitude must be positive"),
+        (DetectorParams(400.0, 600.0), {"n_sat": math.inf}, "must be finite"),
+    ])
+    def test_replace_checks(self, record, change, message):
+        # _replace builds through the constructor, so it runs the same checks.
+        with pytest.raises(ValueError, match=message):
+            record._replace(**change)
 
 
 def _hex_grid(values):
@@ -665,9 +725,7 @@ class TestSingle:
         assert "saturation" in record and record["saturation"]["eta_e"] >= 0.0
 
     def test_dark_record_uses_nulls(self):
-        config = load_config(None)
-        config.theta2 = math.pi / 4
-        config.chi = 0.0
+        config = load_config(None)._replace(theta2=math.pi / 4, chi=0.0)
         record = run_single(config)
         assert abs(record["alpha_f"]["re"]) < 1e-12
         assert record["chi_tilde_exact"] is None
@@ -675,9 +733,8 @@ class TestSingle:
         assert abs(record["quadrature_mean"]) < 1e-14
 
     def test_rejects_scan_block(self):
-        config = load_config(None, scan=ScanSpec("theta2", [0.1]))
-        config.theta2 = 0.3
-        config.chi = 1e-3
+        config = load_config(None, scan=ScanSpec("theta2", [0.1]))._replace(theta2=0.3,
+                                                                            chi=1e-3)
         with pytest.raises(ConfigError):
             run_single(config)
 
@@ -1108,7 +1165,7 @@ def _figure_raw(figure, mzi, lo, chi_values, n_values):
 
     lo = {} if lo is None else {"lo": lo}
     if figure == "fig2":
-        return {"mzi": pick("gamma", "input_phase", "n_photons"), "chi_values": chi_values}
+        return {"mzi": pick("gamma", "n_photons"), "chi_values": chi_values}
     if figure == "fig4":
         return {"mzi": pick("chi", "gamma", "input_phase"), **lo, "detector": DETECTOR,
                 "n_values": n_values}
@@ -1145,8 +1202,9 @@ class TestScanRowsMatchRecords:
             except _SENTINELS:
                 expected = [None] * 4
             assert cells == expected, (chi, theta2)
-            # One port field: fig2's intensity is single's, to the bit.
-            single.theta2, single.chi = theta2, chi
+            # One port field: fig2's intensity is single's, to the bit, at
+            # fig2's input phase.
+            single = single._replace(theta2=theta2, chi=chi, input_phase=config.input_phase)
             if cells[3] is not None:
                 assert cells[3] == run_single(single)["port_intensity"], (chi, theta2)
         assert table.sentinel_rows == sum(row[2] is None for row in table.rows) > 0
@@ -1165,16 +1223,16 @@ class TestScanRowsMatchRecords:
         config = self._scan_config(tmp_path, mzi, lo, "fig4")
         single = self._scan_config(tmp_path, mzi, lo, "single")
         for theta2 in RECORD_GRID:
-            config.scan = ScanSpec("theta2", [theta2])
-            config.n_values = [single.n_photons]
+            config = config._replace(scan=ScanSpec("theta2", [theta2]),
+                                     n_values=[single.n_photons])
             row = run_fig4(config).rows[0]
-            single.theta2 = theta2
+            single = single._replace(theta2=theta2)
             saturation = run_single(single)["saturation"]
             report = _fig4_record(single, theta2, single.n_photons)
             if report is None:
                 assert saturation is None and row[2:] == [None] * 3
                 continue
-            assert saturation == asdict(report)
+            assert saturation == report._asdict()
             assert row[2:] == [saturation["n1"], saturation["n2"], saturation["eta_e"]]
 
 
@@ -1349,7 +1407,7 @@ def test_dark_band_readers_agree(tmp_path, gamma, dark_steps):
     fig4 = run_fig4(_config(tmp_path, {**point, "n_values": [100.0]}, grid)).rows
     config = _config(tmp_path, point)
     for step, theta2, fig2_row, fig4_row in zip(DARK_STEPS, grid, fig2, fig4):
-        config.theta2 = theta2
+        config = config._replace(theta2=theta2)
         params = config.mzi_params()
         readers = {
             "weak_value": _raises(DarkPointSingularity, weak_value, theta2, gamma),

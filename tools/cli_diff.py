@@ -54,16 +54,17 @@ HALF = [0.1 + i * (DARK - 0.1) / 1000 for i in range(1000)]
 HOISTED_SCAN = {"variable": "theta2",
                 "grid": HALF + [DARK] + [2 * DARK - t for t in reversed(HALF)]}
 HOISTED = {
-    "fig2": {"mzi": {"gamma": 0.05, "input_phase": 0.3}, "chi_values": [1e-3, -0.02],
+    "fig2": {"mzi": {"gamma": 0.05}, "chi_values": [1e-3, -0.02],
              "scan": HOISTED_SCAN},
     "fig4": {"mzi": {"gamma": 0.05, "input_phase": 0.3},
              "lo": {"beta_mag": 5.0, "xi": 1.2, "delta": 1e-3}, "detector": DETECTOR,
              "n_values": [0, 100, 2000], "scan": HOISTED_SCAN},
 }
 # A working point where |alpha| / sqrt(2) * |unit| and |alpha / sqrt(2) * unit|
-# differ in the last bit.
+# differ in the last bit.  fig2's alpha is real; at 108 photons they differ too.
 PORT_FIELD = {"theta2": 0.3, "chi": 0.01, "gamma": 0.05, "input_phase": 0.3,
               "n_photons": 100.0}
+PORT_FIELD_FIG2_PHOTONS = 108.0
 # |alpha_f| is exactly 1e-15 here, the zero-amplitude tolerance.
 ZERO_EDGE = {"theta2": 0.20467700760972934, "chi": 0.29490315138317835,
              "n_photons": 3.2301542976940366e-30}
@@ -119,6 +120,7 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "runs_2": {"shots": {"seed": 3, "runs": 2}},
         "theta1_pi_4": {"mzi": {"theta1": math.pi / 4}},
         "theta1_0.3": {"mzi": {"theta1": 0.3}},
+        "input_phase_0.3": {"mzi": {"input_phase": 0.3}},
         "balanced": BALANCED,
         "balanced_fig4": {**BALANCED, "mzi": {"chi": BALANCED["mzi"]["chi"]},
                           "n_values": [BALANCED["mzi"]["n_photons"]]},
@@ -145,8 +147,8 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "fig4_n_values_1_lo_1.4e154": {**STRONG_FIG4, "lo": {"beta_mag": 1.4e154},
                                        "n_values": [1.0]},
         "single_precision_3": {"mzi": POINTS["below"], "output": {"precision": 3}},
-        "port_field_fig2": {"mzi": {key: PORT_FIELD[key]
-                                    for key in ("gamma", "input_phase", "n_photons")},
+        "port_field_fig2": {"mzi": {"gamma": PORT_FIELD["gamma"],
+                                    "n_photons": PORT_FIELD_FIG2_PHOTONS},
                             "chi_values": [PORT_FIELD["chi"]],
                             "scan": {"variable": "theta2", "grid": [PORT_FIELD["theta2"]]}},
         "port_field_single": {"mzi": PORT_FIELD},
@@ -251,6 +253,7 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("fig4 multi-fault detector", ["fig4", "--config", f["bad_detector"]]),
         ("fig2 mzi.theta1 pi/4", ["fig2", "--config", f["theta1_pi_4"]]),
         ("single mzi.theta1 0.3", ["single", "--config", f["theta1_0.3"]]),
+        ("fig2 mzi.input_phase 0.3", ["fig2", "--config", f["input_phase_0.3"]]),
         ("single balanced LO", ["single", "--config", f["balanced"]]),
         ("fig4 one row, balanced LO",
          ["fig4", "--config", f["balanced_fig4"], "--scan", "theta2",
