@@ -61,7 +61,7 @@ class MziParams(namedtuple("MziParams", "theta2 chi alpha gamma")):
     def _replace(self, **changes) -> MziParams:
         return type(self)(**{**self._asdict(), **changes})
 
-    def __getnewargs_ex__(self):  # copy and pickle pass gamma by keyword too
+    def __getnewargs_ex__(self):  # gamma is keyword-only: copy and pickle name each field
         return (), self._asdict()
 
     @property

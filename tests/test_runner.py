@@ -42,9 +42,9 @@ from psamzi.config import (
     _SECTIONS,
     _TOP_KEYS,
     DEFAULT_BETA_MAG,
+    OutputSpec,
     RunConfig,
     ScanSpec,
-    OutputSpec,
     ShotSpec,
     linspace,
     load_config,
@@ -733,8 +733,8 @@ class TestSingle:
         assert abs(record["quadrature_mean"]) < 1e-14
 
     def test_rejects_scan_block(self):
-        config = load_config(None, scan=ScanSpec("theta2", [0.1]))._replace(theta2=0.3,
-                                                                            chi=1e-3)
+        config = load_config(None, scan=ScanSpec("theta2", [0.1]))
+        config = config._replace(theta2=0.3, chi=1e-3)
         with pytest.raises(ConfigError):
             run_single(config)
 
