@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .amplification import AmplifiedPhase, chi_tilde_aav, chi_tilde_exact, invert_chi
 from .errors import DomainError, ZeroSignal
-from .optics import MziParams
+from .optics import MziParams, _Checked
 
 __all__ = ["LoConfig", "QUADRATURE_STD", "QuadratureStats",
            "modulation_error_compare", "quadrature_mean", "quadrature_stats_aav",
@@ -24,7 +24,7 @@ __all__ = ["LoConfig", "QUADRATURE_STD", "QuadratureStats",
 QUADRATURE_STD = 0.5
 
 
-class LoConfig(namedtuple("LoConfig", "beta_mag xi delta")):
+class LoConfig(_Checked, namedtuple("LoConfig", "beta_mag xi delta")):
     """Local-oscillator settings: amplitude, nominal phase, and phase error."""
 
     __slots__ = ()
@@ -36,9 +36,6 @@ class LoConfig(namedtuple("LoConfig", "beta_mag xi delta")):
         if beta_mag <= 0:
             raise ValueError(f"LO amplitude must be positive, got {beta_mag}")
         return super().__new__(cls, beta_mag, xi, delta)
-
-    def _replace(self, **changes) -> LoConfig:
-        return type(self)(**{**self._asdict(), **changes})
 
     @property
     def effective_phase(self) -> float:

@@ -39,7 +39,23 @@ def theta2_in_range(theta2: float) -> bool:
     return 0.0 <= theta2 <= math.pi / 2
 
 
-class MziParams(namedtuple("MziParams", "theta2 chi alpha gamma")):
+class _Checked:
+    """Base of a checked record: _make, _replace, copy and pickle run its constructor."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _make checks the length, cls the fields
+        return cls(**super()._make(iterable)._asdict())
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __getnewargs_ex__(self):
+        return (), self._asdict()
+
+
+class MziParams(_Checked, namedtuple("MziParams", "theta2 chi alpha gamma")):
     """All knobs of a single pass through the interferometer.
 
     The first splitter is 50:50.  Angles are radians: ``theta2`` is the second
@@ -57,12 +73,6 @@ class MziParams(namedtuple("MziParams", "theta2 chi alpha gamma")):
             raise ValueError(f"chi, gamma and alpha must be finite, got chi={chi}, "
                              f"gamma={gamma}, alpha={alpha}")
         return super().__new__(cls, theta2, chi, alpha, gamma)
-
-    def _replace(self, **changes) -> MziParams:
-        return type(self)(**{**self._asdict(), **changes})
-
-    def __getnewargs_ex__(self):  # gamma is keyword-only: copy and pickle name each field
-        return (), self._asdict()
 
     @property
     def n_photons(self) -> float:

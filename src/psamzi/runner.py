@@ -14,7 +14,8 @@ import os
 from collections import namedtuple
 
 from .amplification import aav_phase, chi_tilde_exact, exact_phase, weak_values
-from .config import RunConfig, _build, config_hash, linspace, strictly_monotone
+from .config import (_SECTIONS, RunConfig, ScanSpec, _build, config_hash, linspace,
+                     strictly_monotone)
 from .errors import ConfigError, ZeroAmplitude
 from .homodyne import phase_sensitivity, quadrature_mean, quadrature_stats_exact
 from .optics import (coherent_amplitude, intensity_difference, port_amplitudes,
@@ -68,8 +69,9 @@ def default_theta2_grid() -> list[float]:
 
 
 # Each subcommand's scan variable and the config keys it reads, a section name
-# standing for all of its keys: the keys it hashes, plus output.path,
-# output.format and scan.variable, which change no data byte.
+# standing for all of its keys.  The run hashes each key it reads but these,
+# which change no data byte.
+_UNHASHED = ("output.path", "output.format", "scan.variable")
 _READS = {
     "fig2": ("theta2", "mzi.gamma mzi.n_photons chi_values scan output"),
     "fig3": ("m", "mzi lo shots scan output"),
@@ -78,23 +80,37 @@ _READS = {
 }
 
 
+def _read_keys(figure: str) -> list[str]:
+    """The keys ``figure`` reads, each section name spelled out as all of its keys."""
+    return [f"{name}.{key}" if name in _SECTIONS else name
+            for name in _READS[figure][1].split() for key in _SECTIONS.get(name, [name])]
+
+
 def _check_reads(config: RunConfig, figure: str) -> None:
     """Reject the first key that ``figure`` does not read, then a scan of another variable."""
-    variable, reads = _READS[figure][0], _READS[figure][1].split()
+    variable, read_keys = _READS[figure][0], _read_keys(figure)
     for key in config.keys:
-        if key not in reads and key.split(".")[0] not in reads:
-            raise ConfigError(f"{figure} does not read {key}; it reads {', '.join(reads)}")
+        if key not in read_keys:
+            raise ConfigError(f"{figure} does not read {key}; "
+                              f"it reads {', '.join(_READS[figure][1].split())}")
     if config.scan is not None and config.scan.variable != variable:
         raise ConfigError(f"{figure} scans {variable or 'nothing'}, "
                           f"got scan variable {config.scan.variable!r}")
 
 
-def _config_sha256(config: RunConfig, figure: str, **resolved: object) -> str:
-    """Hash of the fully resolved parameters of one run, shared keys included."""
-    # The 50:50 first splitter stays in the hash so every hash keeps its bytes.
-    shared = {"figure": figure, "theta1": math.pi / 4, "gamma": config.gamma,
-              "input_phase": config.input_phase, "precision": config.output.precision}
-    return config_hash({**shared, **resolved})
+def _config_sha256(config: RunConfig, figure: str) -> str:
+    """Hash of ``figure`` and the resolved value of each key it reads and hashes.
+
+    An ``mzi`` key or a list is a field of ``config``; another key is a field
+    of its section's record, None where the section is absent.
+    """
+    resolved: dict[str, object] = {"figure": figure}
+    for key in _read_keys(figure):
+        if key not in _UNHASHED:
+            name, _, field = key.partition(".")
+            record = config if name == "mzi" or not field else getattr(config, name)
+            resolved[key] = None if record is None else getattr(record, field or name)
+    return config_hash(resolved)
 
 
 def _theta2_grid(config: RunConfig) -> list[float]:
@@ -129,10 +145,10 @@ def run_fig2(config: RunConfig, workers: int = 1) -> Table:
     ``workers`` is accepted for compatibility and has no effect.
     """
     _check_reads(config, "fig2")
-    chi_values = config.chi_values or list(DEFAULT_CHI_VALUES)
-    gamma = config.gamma
+    config = config._replace(chi_values=config.chi_values or list(DEFAULT_CHI_VALUES),
+                             scan=ScanSpec("theta2", _theta2_grid(config)))
+    chi_values, gamma, grid = config.chi_values, config.gamma, config.scan.grid
     alpha = coherent_amplitude(config.n_photons)
-    grid = _theta2_grid(config)
     a_ws = [None if point is None else point[3].real
             for point in weak_values(grid, gamma)]
     rows: list[list[object]] = []
@@ -144,10 +160,8 @@ def run_fig2(config: RunConfig, workers: int = 1) -> Table:
                 rows.append([chi, theta2, None, None, None, None])
             else:
                 rows.append([chi, theta2, aav, chi_tilde, a_w, mag**2])
-    sha = _config_sha256(config, "fig2", theta2_grid=grid,
-                         n_photons=config.n_photons, chi_values=chi_values)
     return Table(["chi", "theta2", "chi_tilde_aav", "chi_tilde_exact", "weak_value",
-                  "port_intensity"], rows, sha)
+                  "port_intensity"], rows, _config_sha256(config, "fig2"))
 
 
 def run_fig3(config: RunConfig, workers: int = 1) -> Table:
@@ -182,13 +196,12 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     if config.shots.seed is None:
         raise ConfigError("fig3 needs a seed (shots.seed or --seed) for the "
                           "Monte-Carlo column")
-    seed = config.shots.seed
-    runs = config.shots.runs
-
-    theta2 = config.theta2 if config.theta2 is not None else FIG3_DEFAULT_THETA2
-    chi = config.chi if config.chi is not None else FIG3_DEFAULT_CHI
-    lo = config.lo
-    params = config.mzi_params(theta2=theta2, chi=chi)
+    config = config._replace(
+        theta2=FIG3_DEFAULT_THETA2 if config.theta2 is None else config.theta2,
+        chi=FIG3_DEFAULT_CHI if config.chi is None else config.chi,
+        scan=ScanSpec("m", m_grid))
+    seed, runs, lo = config.shots.seed, config.shots.runs, config.lo
+    params = config.mzi_params()
     try:
         stats = quadrature_stats_exact(params)
     except ZeroAmplitude:
@@ -223,22 +236,11 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
                 point.upper,
             ])
 
-    sha = _config_sha256(
-        config,
-        "fig3",
-        theta2=theta2,
-        chi=chi,
-        n_photons=config.n_photons,
-        lo=lo._asdict(),
-        m_grid=m_grid,
-        seed=seed,
-        runs=runs,
-    )
     return Table(
         columns=["m", "sensitivity", "sensitivity_mc", "chi_tilde", "chi_tilde_lower",
                  "chi_tilde_upper"],
         rows=rows,
-        config_sha256=sha,
+        config_sha256=_config_sha256(config, "fig3"),
         seed=seed,
     )
 
@@ -252,13 +254,13 @@ def run_fig4(config: RunConfig, workers: int = 1) -> Table:
     if config.detector is None:
         raise ConfigError("fig4 needs a detector block (k_max, n_sat)")
     n_values = config.n_values or list(DEFAULT_N_VALUES)
-    chi = config.chi if config.chi is not None else FIG4_DEFAULT_CHI
-    lo = config.lo
-    det = config.detector
     alphas = [coherent_amplitude(n, config.input_phase) for n in n_values]
-    _build(check_lo_strength, beta_mag=lo.beta_mag, alpha_mag=max(map(abs, alphas)))
-    grid = _theta2_grid(config)
-    points = error_ratio_fields(grid, chi, config.gamma, alphas, lo, det)
+    _build(check_lo_strength, beta_mag=config.lo.beta_mag, alpha_mag=max(map(abs, alphas)))
+    config = config._replace(chi=FIG4_DEFAULT_CHI if config.chi is None else config.chi,
+                             n_values=n_values, scan=ScanSpec("theta2", _theta2_grid(config)))
+    grid = config.scan.grid
+    points = error_ratio_fields(grid, config.chi, config.gamma, alphas, config.lo,
+                                config.detector)
     rows: list[list[object]] = []
     for n_photons in n_values:
         # With grid first, zip takes exactly one block of points.
@@ -267,9 +269,8 @@ def run_fig4(config: RunConfig, workers: int = 1) -> Table:
                 rows.append([theta2, n_photons, None, None, None])
             else:
                 rows.append([theta2, n_photons, fields[0], fields[1], fields[5]])
-    sha = _config_sha256(config, "fig4", theta2_grid=grid, chi=chi, lo=lo._asdict(),
-                         detector=det._asdict(), n_values=n_values)
-    return Table(["theta2", "n_photons", "n1", "n2", "eta_e"], rows, sha)
+    return Table(["theta2", "n_photons", "n1", "n2", "eta_e"], rows,
+                 _config_sha256(config, "fig4"))
 
 
 def run_single(config: RunConfig) -> dict:
@@ -283,15 +284,7 @@ def run_single(config: RunConfig) -> dict:
     params = config.mzi_params()
     lo = config.lo
     fields = propagate_mzi(params)
-    sha = _config_sha256(
-        config,
-        "single",
-        theta2=params.theta2,
-        chi=params.chi,
-        n_photons=config.n_photons,
-        lo=lo._asdict(),
-        detector=None if config.detector is None else config.detector._asdict(),
-    )
+    sha = _config_sha256(config, "single")
 
     point = weak_values([params.theta2], params.gamma)[0]
     a_w = None if point is None else point[3].real

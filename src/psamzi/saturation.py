@@ -18,13 +18,13 @@ from .amplification import (chi_tilde_exact, exact_phase, readout_phases, weak_v
                             weak_values)
 from .errors import ZeroAmplitude, ZeroSignal
 from .homodyne import LoConfig, quadrature_means
-from .optics import MziParams, port_amplitudes, port_fields
+from .optics import MziParams, _Checked, port_amplitudes, port_fields
 
 __all__ = ["DetectorParams", "SaturationReport", "detector_counts", "detector_current",
            "error_ratio", "invert_phase_linear_model", "saturated_quadrature"]
 
 
-class DetectorParams(namedtuple("DetectorParams", "k_max n_sat")):
+class DetectorParams(_Checked, namedtuple("DetectorParams", "k_max n_sat")):
     """Opto-electric conversion ceiling and saturation threshold photon number."""
 
     __slots__ = ()
@@ -37,9 +37,6 @@ class DetectorParams(namedtuple("DetectorParams", "k_max n_sat")):
             raise ValueError(f"detector parameters must be positive, got k_max={k_max}, "
                              f"n_sat={n_sat}")
         return super().__new__(cls, k_max, n_sat)
-
-    def _replace(self, **changes) -> DetectorParams:
-        return type(self)(**{**self._asdict(), **changes})
 
 
 class SaturationReport(namedtuple("SaturationReport",

@@ -286,6 +286,18 @@ OTHER = {
 }
 ALL_KEYS = [*(f"{name}.{key}" for name, keys in _SECTIONS.items() for key in keys),
             *_LISTS]
+# Read keys that change no data byte and stay out of the hash.
+UNHASHED = {"output.path", "output.format", "scan.variable"}
+# A run of each subcommand built by hand with every section present: its
+# RunConfig names no keys, so it passes the read check whatever its fields hold.
+HAND = RunConfig(LoConfig(3.0, 1.0), detector=DetectorParams(450.0, 500.0),
+                 shots=ShotSpec(1, 2))
+HAND_BUILT = {
+    "fig2": HAND._replace(scan=ScanSpec("theta2", [0.5, 0.6])),
+    "fig3": HAND._replace(scan=ScanSpec("m", [1, 10])),
+    "fig4": HAND._replace(scan=ScanSpec("theta2", [0.5, 0.6])),
+    "single": HAND._replace(theta2=0.7, chi=0.01),
+}
 
 
 def _base(command):
@@ -312,10 +324,21 @@ def _get(raw, key):
     return raw[name][field] if field else raw[name]
 
 
+def _set_field(config, key, value):
+    """``config`` with ``key`` set to ``value``."""
+    name, _, field = key.partition(".")
+    if name == "mzi" or not field:
+        return config._replace(**{field or name: value})
+    return config._replace(**{name: getattr(config, name)._replace(**{field: value})})
+
+
 def _sha(command, raw, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
-    config = load_config(path)
+    return _run_sha(command, load_config(path))
+
+
+def _run_sha(command, config):
     if command == "single":
         return run_single(config)["config_sha256"]
     return {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4}[command](config).config_sha256
@@ -350,8 +373,7 @@ class TestReads:
 
     @pytest.mark.parametrize("command", list(MINIMAL))
     def test_every_read_key_changes_the_hash(self, tmp_path, command):
-        # output.path, output.format and scan.variable change no data byte.
-        hashed = READ_KEYS[command] - {"output.path", "output.format", "scan.variable"}
+        hashed = READ_KEYS[command] - UNHASHED
         base = MINIMAL[command]
         for key in hashed:
             base = _with(base, key, _get(_base(command), key), command)
@@ -360,6 +382,19 @@ class TestReads:
             other = {"scan.grid": [1, 20] if command == "fig3" else [0.5, 0.7]}
             changed = _with(base, key, {**OTHER, **other}[key], command)
             assert _sha(command, changed, tmp_path) != sha, key
+
+    @pytest.mark.parametrize("command", list(MINIMAL))
+    def test_no_other_key_changes_the_hash(self, command):
+        # Every key but the hashed ones, less the scan keys, which a run of
+        # another variable (or single, any scan) rejects.
+        keys = [key for key in ALL_KEYS
+                if key not in READ_KEYS[command] - UNHASHED and not key.startswith("scan.")]
+        assert len(keys) == {"fig2": 13, "fig3": 6, "fig4": 7, "single": 7}[command]
+        values = {**OTHER, "output.path": "other.txt", "output.format": "json"}
+        config = HAND_BUILT[command]
+        sha = _run_sha(command, config)
+        for key in keys:
+            assert _run_sha(command, _set_field(config, key, values[key])) == sha, key
 
 
 # One record of each kind the package defines.
@@ -378,8 +413,8 @@ class TestRecords:
     """The records are immutable named tuples with their dataclass-era keys and reprs."""
 
     def test_asdict_keys(self):
-        # The config hash reads the LO and the detector through _asdict, and
-        # single's record the saturation report.
+        # The config hash reads each LO and detector field by its config key's
+        # name, and single's record reads the saturation report through _asdict.
         assert list(LoConfig(4.0, 1.2, 0.01)._asdict().items()) == [
             ("beta_mag", 4.0), ("xi", 1.2), ("delta", 0.01)]
         assert list(DetectorParams(400.0, 600.0)._asdict().items()) == [
@@ -415,9 +450,14 @@ class TestRecords:
         (DetectorParams(400.0, 600.0), {"n_sat": math.inf}, "must be finite"),
     ])
     def test_replace_checks(self, record, change, message):
-        # _replace builds through the constructor, so it runs the same checks.
+        # _replace and _make build through the constructor, so they run the
+        # same checks, and an unknown field is the constructor's TypeError.
         with pytest.raises(ValueError, match=message):
             record._replace(**change)
+        with pytest.raises(ValueError, match=message):
+            type(record)._make({**record._asdict(), **change}.values())
+        with pytest.raises(TypeError):
+            record._replace(bogus=1)
 
 
 def _hex_grid(values):
@@ -958,9 +998,9 @@ class TestCli:
 
     @pytest.mark.parametrize("mzi, sha", [
         ({"n_photons": 0},
-         "58544c3c9cae557aa9a1e503133025462ef5dbcc21cd9034fef7851791f2ee4f"),
+         "2946a2a13ca5fc8bfccbf0c80aad2ebb40f8512d5f9ec45ad53fd2c6a9d1e6b1"),
         ({"theta2": math.pi / 4, "chi": 0.0},
-         "01d40805fcaea313393c537b330c7e83486702951b37f1f068fe02a5a17aada4"),
+         "fff8f8458c30349ffe205d0f5077c5c6457f5eab14c00bb0de3fb910ffae1842"),
     ], ids=["no_photons", "dark_zero_phase"])
     def test_fig3_without_amplified_phase(self, tmp_path, monkeypatch, mzi, sha):
         # No port field means no amplified phase: every row keeps its m, holds
@@ -1306,8 +1346,8 @@ class TestThetaGridEdges:
             runner(config)
 
     @pytest.mark.parametrize("runner, sha", [
-        (run_fig2, "eed846dfcc8c8a135e1ac21314a0ae13178fe35f454d1a0986ed6f566c0e5ade"),
-        (run_fig4, "66495e97ce7759f49c57ff345edd580054b42161c3b1a4914f5183003d18adb7"),
+        (run_fig2, "905f3055b9dcc6889d3260b69aa60309d789c600fe9e137eff52c705b5567bf8"),
+        (run_fig4, "839635c505b81f36aaad73e5fb3750bfd52506393f9003e0abc179840a758cef"),
     ], ids=["fig2", "fig4"])
     def test_empty_grid_gives_no_rows(self, runner, sha):
         config = RunConfig(lo=LoConfig(beta_mag=DEFAULT_BETA_MAG, xi=math.pi / 2),

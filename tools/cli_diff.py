@@ -9,12 +9,14 @@ PYTHONPATH, each time in a fresh empty working directory.  The script compares
 stdout, stderr, the exit code and every file the run left in that directory
 (the ``--out`` file, or a stray file such as one named after a bad
 ``output.path``).  It prints ``k of n identical`` and each case that differs,
-and exits 1 on any difference.
+with, for each stream or file that differs, how many lines differ and the
+first differing line of each side; it exits 1 on any difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -24,6 +26,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# A differing line is printed cut to this many characters.
+LINE_CUT = 160
 DARK = math.pi / 4
 DETECTOR = {"k_max": 450.0, "n_sat": 500.0}
 POINTS = {
@@ -337,6 +341,34 @@ def last_line(stderr: bytes) -> str:
     return lines[-1] if lines else ""
 
 
+def cut(line: str | None) -> str:
+    if line is None:
+        return "(no line)"
+    return line if len(line) <= LINE_CUT else line[:LINE_CUT] + "..."
+
+
+def line_diffs(mine: dict[str, object], theirs: dict[str, object]) -> list[str]:
+    """For each stream or file that differs, its differing line count and first pair."""
+    streams = [(name, mine[name], theirs[name]) for name in ("stdout", "stderr")]
+    files = sorted({*mine["files"], *theirs["files"]})
+    streams += [(f"file {name}", mine["files"].get(name, b""),
+                 theirs["files"].get(name, b"")) for name in files]
+    out = []
+    for name, ours, other in streams:
+        if ours == other:
+            continue
+        pairs = list(itertools.zip_longest(
+            *(text.decode("utf-8", "replace").splitlines() for text in (ours, other))))
+        differing = [pair for pair in pairs if pair[0] != pair[1]]
+        if not differing:
+            out.append(f"  {name}: the bytes differ, not the lines")
+            continue
+        out += [f"  {name}: {len(differing)} of {len(pairs)} lines differ, first:",
+                f"    this tree:  {cut(differing[0][0])}",
+                f"    other tree: {cut(differing[0][1])}"]
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_root", type=Path, help="the tree to compare with")
@@ -357,6 +389,8 @@ def main(argv: list[str] | None = None) -> int:
         for side, result in (("this tree", mine), ("other tree", theirs)):
             print(f"  {side}: exit {result['exit code']}, files "
                   f"{sorted(result['files'])}, stderr: {last_line(result['stderr'])}")
+        for line in line_diffs(mine, theirs):
+            print(line)
     return 1 if differing else 0
 
 
