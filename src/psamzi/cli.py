@@ -15,6 +15,7 @@ import sys
 from .config import OUTPUT_FORMATS, ScanSpec, linspace, load_config, read_json_object
 from .errors import ConfigError
 from .runner import (
+    _read_keys,
     render_csv,
     render_record_json,
     render_table_json,
@@ -42,8 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("single", "one record with every derived quantity"),
     ):
         cmd = sub.add_parser(name, help=help_text)
+        keys = _read_keys(name)
         cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument("--out", help="output file (default: stdout)")
+        if "output.path" in keys:
+            cmd.add_argument("--out", help="output file (default: stdout)")
         cmd.add_argument(
             "--workers",
             type=int,
@@ -56,15 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="EXPECTED_JSON",
                 help="compare the record against stored expected values",
             )
-            continue
-        cmd.add_argument(
-            "--scan",
-            nargs=4,
-            metavar=("VAR", "START", "STOP", "POINTS"),
-            help="override the scan grid, e.g. --scan theta2 0.05 0.78 200",
-        )
-        cmd.add_argument("--format", choices=OUTPUT_FORMATS, dest="fmt")
-        if name == "fig3":
+        if "scan.grid" in keys:
+            cmd.add_argument("--scan", nargs=4, metavar=("VAR", "START", "STOP", "POINTS"),
+                             help="override the scan grid, e.g. --scan theta2 0.05 0.78 200")
+        if "output.format" in keys:
+            cmd.add_argument("--format", choices=OUTPUT_FORMATS, dest="fmt")
+        if "shots.seed" in keys:
             cmd.add_argument("--seed", type=int, help="seed for Monte-Carlo columns")
     return parser
 
@@ -99,9 +99,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scan = _parse_scan_flag(args.scan) if flags.get("scan") else None
         config = load_config(args.config, scan=scan, seed=flags.get("seed"),
-                             out=args.out, fmt=flags.get("fmt"))
+                             out=flags.get("out"), fmt=flags.get("fmt"))
 
         if args.command == "single":
+            if args.self_check and "output.path" in config.keys:
+                raise ConfigError("single --self-check does not read output.path, from "
+                                  "--out or the config file: the self-check writes no record")
             record = run_single(config)
             if args.self_check:
                 expected = read_json_object(args.self_check, "expected-values")

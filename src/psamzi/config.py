@@ -53,16 +53,13 @@ class RunConfig(namedtuple("RunConfig", [
 
     __slots__ = ()
 
-    def mzi_params(self, theta2: float | None = None,
-                   chi: float | None = None) -> MziParams:
-        """Build interferometer parameters, overriding theta2 or chi."""
-        use_theta2 = self.theta2 if theta2 is None else theta2
-        use_chi = self.chi if chi is None else chi
-        if use_theta2 is None:
+    def mzi_params(self) -> MziParams:
+        """Build the interferometer parameters of the configured working point."""
+        if self.theta2 is None:
             raise ConfigError("mzi.theta2 is required for this run")
-        if use_chi is None:
+        if self.chi is None:
             raise ConfigError("mzi.chi is required for this run")
-        return _build(MziParams, theta2=use_theta2, chi=use_chi, gamma=self.gamma,
+        return _build(MziParams, theta2=self.theta2, chi=self.chi, gamma=self.gamma,
                       alpha=coherent_amplitude(self.n_photons, self.input_phase))
 
 
@@ -208,8 +205,6 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def strictly_monotone(grid: list[float]) -> bool:
-    if len(grid) < 2:
-        return True
     diffs = [b - a for a, b in zip(grid, grid[1:])]
     return all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
 
@@ -250,30 +245,30 @@ def load_config(
     """
     raw = {} if path is None else read_json_object(path, "config")
     _reject_unknown(raw, _TOP_KEYS, "top-level")
-    mzi, lo, det, shots, scan_values, output = (_section(raw, n) for n in _SECTIONS)
+    values = {name: _section(raw, name) for name in _SECTIONS}
     lists = {key: parse(raw[key], key) for key, parse in _LISTS.items() if key in raw}
     # CLI flags win over the file; each passes its key's rule under its own name.
     if scan is not None:
         override = {"variable": scan.variable, "grid": list(scan.grid)}
-        scan_values = _section({"scan": override}, "scan")
+        values["scan"] = _section({"scan": override}, "scan")
     if seed is not None:
-        shots["seed"] = _SECTIONS["shots"]["seed"](seed, "seed")
+        values["shots"]["seed"] = _SECTIONS["shots"]["seed"](seed, "seed")
     if out is not None:
-        output["path"] = _SECTIONS["output"]["path"](out, "out")
+        values["output"]["path"] = _SECTIONS["output"]["path"](out, "out")
     if fmt is not None:
-        output["format"] = _SECTIONS["output"]["format"](fmt, "format")
+        values["output"]["format"] = _SECTIONS["output"]["format"](fmt, "format")
 
+    mzi, det = values["mzi"], values["detector"]
     xi = math.pi / 2 + mzi.get("input_phase", DEFAULT_INPUT_PHASE)
     return RunConfig(
         **mzi, **lists,
-        lo=_build(LoConfig, **{"beta_mag": DEFAULT_BETA_MAG, "xi": xi, **lo}),
+        lo=_build(LoConfig, **{"beta_mag": DEFAULT_BETA_MAG, "xi": xi, **values["lo"]}),
         detector=_build(DetectorParams, **det) if det else None,
-        shots=ShotSpec(**shots),
-        scan=ScanSpec(**scan_values) if scan_values else None,
-        output=OutputSpec(**output),
-        keys=(*(f"{name}.{key}" for name, values
-                in zip(_SECTIONS, (mzi, lo, det, shots, scan_values, output))
-                for key in values), *lists),
+        shots=ShotSpec(**values["shots"]),
+        scan=ScanSpec(**values["scan"]) if values["scan"] else None,
+        output=OutputSpec(**values["output"]),
+        keys=(*(f"{name}.{key}" for name, section in values.items() for key in section),
+              *lists),
     )
 
 

@@ -20,7 +20,7 @@ from .errors import ConfigError, ZeroAmplitude
 from .homodyne import phase_sensitivity, quadrature_mean, quadrature_stats_exact
 from .optics import (coherent_amplitude, intensity_difference, port_amplitudes,
                      port_fields, propagate_mzi, theta2_in_range)
-from .saturation import SaturationReport, check_lo_strength, error_ratio_fields
+from .saturation import SaturationReport, check_readout_domain, error_ratio_fields
 from .shots import averaged_stats, draw_shots, uncertainty_vs_m
 
 # Exposes the amplification ramp without touching the dark-point singularity.
@@ -121,10 +121,10 @@ def _theta2_grid(config: RunConfig) -> list[float]:
     """
     grid = default_theta2_grid() if config.scan is None else list(config.scan.grid)
     if grid:
-        config.mzi_params(theta2=grid[0], chi=0.0)
+        config._replace(theta2=grid[0], chi=0.0).mzi_params()
     for theta2 in grid:
         if not theta2_in_range(theta2):
-            config.mzi_params(theta2=theta2, chi=0.0)
+            config._replace(theta2=theta2, chi=0.0).mzi_params()
     return grid
 
 
@@ -255,7 +255,8 @@ def run_fig4(config: RunConfig, workers: int = 1) -> Table:
         raise ConfigError("fig4 needs a detector block (k_max, n_sat)")
     n_values = config.n_values or list(DEFAULT_N_VALUES)
     alphas = [coherent_amplitude(n, config.input_phase) for n in n_values]
-    _build(check_lo_strength, beta_mag=config.lo.beta_mag, alpha_mag=max(map(abs, alphas)))
+    _build(check_readout_domain, beta_mag=config.lo.beta_mag,
+           alpha_mag=max(map(abs, alphas)), det=config.detector)
     config = config._replace(chi=FIG4_DEFAULT_CHI if config.chi is None else config.chi,
                              n_values=n_values, scan=ScanSpec("theta2", _theta2_grid(config)))
     grid = config.scan.grid
@@ -312,7 +313,8 @@ def run_single(config: RunConfig) -> dict:
         record["sensitivity"] = None
 
     if config.detector is not None:
-        _build(check_lo_strength, beta_mag=lo.beta_mag, alpha_mag=abs(params.alpha))
+        _build(check_readout_domain, beta_mag=lo.beta_mag, alpha_mag=abs(params.alpha),
+               det=config.detector)
         fields = next(error_ratio_fields([params.theta2], params.chi, params.gamma,
                                          [params.alpha], lo, config.detector))
         record["saturation"] = (None if fields is None
@@ -384,7 +386,7 @@ def _values_match(expected: object, actual: object) -> bool:
     if expected is None or actual is None:
         return expected is None and actual is None
     if isinstance(expected, bool) or isinstance(actual, bool):
-        return expected == actual
+        return expected is actual  # True == 1.0, but a flag is no number
     if isinstance(expected, (int, float)) and isinstance(actual, (int, float)):
         return math.isclose(expected, actual, rel_tol=1e-12, abs_tol=1e-15)
     return expected == actual

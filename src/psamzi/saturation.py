@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .amplification import (chi_tilde_exact, exact_phase, readout_phases, weak_value,
-                            weak_values)
+from .amplification import (ZERO_AMPLITUDE_TOL, chi_tilde_exact, exact_phase,
+                            readout_phases, weak_value, weak_values)
 from .errors import ZeroAmplitude, ZeroSignal
 from .homodyne import LoConfig, quadrature_means
 from .optics import MziParams, _Checked, port_amplitudes, port_fields
@@ -53,11 +54,19 @@ def detector_current(n_photons: float, det: DetectorParams) -> float:
     return det.k_max * (1.0 - math.exp(-n_photons / det.n_sat))
 
 
-def check_lo_strength(beta_mag: float, alpha_mag: float) -> None:
-    """Raise ValueError where the detector counts of this LO and input overflow.
+def check_readout_domain(beta_mag: float, alpha_mag: float, det: DetectorParams) -> None:
+    """Raise ValueError where this LO, input and detector take the readout off the floats.
 
-    Both counts are below (beta_mag + sqrt(2) |alpha|)^2, because |alpha_f|
-    <= sqrt(2) |alpha|; that square must be a finite float.
+    With |x_bar| <= |alpha_f| <= sqrt(2) |alpha|, the counts are below
+    (beta_mag + sqrt(2) |alpha|)^2, the current difference is at most
+    k_max / (2 beta_mag), the inversion divides by k_max |alpha_f| and
+    x_linear is (k_max / N_sat) x_bar; each bound must be finite.  The
+    inversion reads only |alpha_f| > ZERO_AMPLITUDE_TOL.  At that least
+    |alpha_f|, k_max |alpha_f| and (k_max / N_sat) |alpha_f|, which scale the
+    inverted ratio, and 2 beta_mag |alpha_f| and its quotient by N_sat, the
+    exponent of the current difference, must be normal floats.  Then no
+    subnormal rounding reaches the ratio, which passes +-1 by an ulp at most.
+    A NaN passes, for the caller's own checks to name.
     """
     bound = beta_mag + math.sqrt(2.0) * alpha_mag
     if bound * bound == math.inf:
@@ -65,6 +74,27 @@ def check_lo_strength(beta_mag: float, alpha_mag: float) -> None:
             f"lo.beta_mag={beta_mag} overflows the detector counts: "
             f"(beta_mag + sqrt(2) * |alpha|)**2 must be finite, got |alpha|={alpha_mag}"
         )
+    k_max, n_sat = det
+    largest, least = math.sqrt(2.0) * alpha_mag, ZERO_AMPLITUDE_TOL
+    for name, value in (
+        ("k_max / (2 * beta_mag)", k_max / (2.0 * beta_mag)),
+        ("k_max * sqrt(2) * |alpha|", k_max * largest),
+        ("k_max / n_sat * sqrt(2) * |alpha|", k_max / n_sat * largest),
+    ):
+        if value == math.inf:
+            raise ValueError(f"the saturated readout overflows: {name} must be finite, "
+                             f"got beta_mag={beta_mag}, k_max={k_max}, n_sat={n_sat}, "
+                             f"|alpha|={alpha_mag}")
+    for name, value in (
+        ("k_max * |alpha_f|", k_max * least),
+        ("k_max / n_sat * |alpha_f|", k_max / n_sat * least),
+        ("2 * beta_mag * |alpha_f|", 2.0 * beta_mag * least),
+        ("2 * beta_mag * |alpha_f| / n_sat", 2.0 * beta_mag * least / n_sat),
+    ):
+        if value < sys.float_info.min:
+            raise ValueError(f"the saturated readout underflows: {name} must be a normal "
+                             f"float at |alpha_f|={least}, got beta_mag={beta_mag}, "
+                             f"k_max={k_max}, n_sat={n_sat}")
 
 
 def _count_pairs(beta_mag: float, xi: float,
@@ -146,9 +176,10 @@ def error_ratio_fields(grid: list[float], chi: float, gamma: float,
     counts and the quadrature mean, and the LO terms once per run;
     ``error_ratio`` takes the one point of a one-angle, one-alpha grid.
     Points come one at a time, so a caller that keeps a few fields of each
-    holds no others.  The inversion clips only by rounding, since
-    |x_saturated| N_sat / k_max <= |x_bar| <= |alpha_f|, so the fields carry
-    no clamp flag.
+    holds no others.  The caller checks the LO, the largest alpha and the
+    detector with ``check_readout_domain`` first; then the inversion clips
+    only by rounding, since |x_saturated| N_sat / k_max <= |x_bar| <=
+    |alpha_f|, so the fields carry no clamp flag.
     """
     darks = [point is None for point in weak_values(grid, gamma)]
     units = port_amplitudes(grid, [chi], gamma)[0]
@@ -156,8 +187,7 @@ def error_ratio_fields(grid: list[float], chi: float, gamma: float,
     phases, mag_rows = exact_phase(units, field_rows)
     xi = lo.effective_phase
     slope = det.k_max / det.n_sat
-    for alpha, alpha_fs, mags in zip(alphas, field_rows, mag_rows):
-        check_lo_strength(lo.beta_mag, abs(alpha))
+    for alpha_fs, mags in zip(field_rows, mag_rows):
         counts = _count_pairs(lo.beta_mag, xi, alpha_fs)
         x_bars = quadrature_means(alpha_fs, xi)
         x_sats = _current_differences(lo.beta_mag, counts, x_bars, det)
@@ -179,11 +209,13 @@ def error_ratio(
     """Relative bias |chi_tilde' - chi_tilde| / chi_tilde from saturation.
 
     Feeds the saturated readout through the linear inversion and compares the
-    result against the exact amplified phase.  Raises, where ``error_ratio_fields``
-    gives None: ZeroAmplitude where the amplitude vanishes, else
-    DarkPointSingularity at a dark angle, else ZeroSignal, since the true
-    amplified phase is zero and the ratio is undefined.
+    result against the exact amplified phase.  Raises ValueError where
+    ``check_readout_domain`` refuses the LO, input and detector.  Raises,
+    where ``error_ratio_fields`` gives None: ZeroAmplitude where the amplitude
+    vanishes, else DarkPointSingularity at a dark angle, else ZeroSignal,
+    since the true amplified phase is zero and the ratio is undefined.
     """
+    check_readout_domain(lo.beta_mag, abs(params.alpha), det)
     fields = next(error_ratio_fields([params.theta2], params.chi, params.gamma,
                                      [params.alpha], lo, det))
     if fields is None:

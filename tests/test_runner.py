@@ -4,6 +4,7 @@ import cmath
 import copy
 import json
 import math
+import os
 import pickle
 import random
 import re
@@ -59,6 +60,7 @@ from psamzi.runner import (
     FIG3_DEFAULT_CHI,
     FIG3_DEFAULT_THETA2,
     Table,
+    _cpu_count,
     default_theta2_grid,
     render_csv,
     render_table_json,
@@ -587,9 +589,9 @@ class TestFig3:
                                     "scan": {"variable": "m", "grid": grid}}))
         config = load_config(path)
         table = run_fig3(config)
-        params = config.mzi_params(
+        params = config._replace(
             theta2=mzi.get("theta2", FIG3_DEFAULT_THETA2), chi=mzi.get("chi", FIG3_DEFAULT_CHI)
-        )
+        ).mzi_params()
         amp = chi_tilde_exact(params)
         mean = quadrature_mean(propagate_mzi(params).alpha_f, config.lo.effective_phase)
         mc = table.columns.index("sensitivity_mc")
@@ -634,6 +636,13 @@ class TestFig3:
                 assert len({thread for thread, _ in draws}) <= min(cpus, len(m_grid))
                 for _, (k, m) in draws:
                     assert 1 <= k <= runs and (k * m <= block or k == 1)
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        # Where os has no sched_getaffinity, every CPU counts, and at least one.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, expected in ((3, 3), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert _cpu_count() == expected
 
     def test_draw_error_propagates(self, monkeypatch):
         config = load_config(None, seed=23)
@@ -1051,17 +1060,21 @@ class TestCli:
             == 1
         )
 
-    @pytest.mark.parametrize("edit, mismatch", [
-        (lambda e: e.update(extra=1.0), "missing key 'extra'"),
-        (lambda e: e.pop("snr"), "unexpected key 'snr'"),
-        (lambda e: e.update(chi_tilde_exact=None),
+    @pytest.mark.parametrize("theta2, edit, mismatch", [
+        (0.7, lambda e: e.update(extra=1.0), "missing key 'extra'"),
+        (0.7, lambda e: e.pop("snr"), "unexpected key 'snr'"),
+        (0.7, lambda e: e.update(chi_tilde_exact=None),
          "chi_tilde_exact: expected None, got "),
-        (lambda e: e["saturation"].update(eta_e=e["saturation"]["eta_e"] * 1.001),
+        (0.7, lambda e: e["saturation"].update(eta_e=e["saturation"]["eta_e"] * 1.001),
          "saturation: expected {"),
-    ], ids=["missing key", "unexpected key", "null against number", "saturation field"])
-    def test_self_check_mismatch_names_key(self, tmp_path, capsys, edit, mismatch):
+        (0.7, lambda e: e["saturation"].pop("eta_e"), "saturation: expected {"),
+        # The weak value at theta2 0 is exactly 1.0, which == and isclose take for True.
+        (0.0, lambda e: e.update(weak_value=True), "weak_value: expected True, got 1.0"),
+    ], ids=["missing key", "unexpected key", "null against number", "saturation field",
+            "saturation key", "bool against number"])
+    def test_self_check_mismatch_names_key(self, tmp_path, capsys, theta2, edit, mismatch):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mzi": {"theta2": 0.7, "chi": 1e-3},
+        cfg.write_text(json.dumps({"mzi": {"theta2": theta2, "chi": 1e-3},
                                    "detector": {"k_max": 450.0, "n_sat": 500.0}}))
         record_path = tmp_path / "record.json"
         assert main(["single", "--config", str(cfg), "--out", str(record_path)]) == 0
@@ -1073,6 +1086,29 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"self-check mismatch: {mismatch}")
+
+    @pytest.mark.parametrize("where", ["--out", "output.path"])
+    def test_self_check_reads_no_output_path(self, tmp_path, capsys, where):
+        # The self-check writes no record; writing it would overwrite the
+        # expected file of a config that names that file as its output.
+        record_path = tmp_path / "record.json"
+        raw = {"mzi": {"theta2": 0.7, "chi": 1e-3}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["single", "--config", str(cfg), "--out", str(record_path)]) == 0
+        expected = record_path.read_text()
+        out = tmp_path / "record2.json"
+        argv = ["single", "--config", str(cfg), "--self-check", str(record_path)]
+        if where == "--out":
+            argv += ["--out", str(out)]
+        else:
+            cfg.write_text(json.dumps({**raw, "output": {"path": str(record_path)}}))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "config error: single --self-check does not "
+                                       "read output.path, from --out or the config "
+                                       "file: the self-check writes no record\n")
+        assert not out.exists() and record_path.read_text() == expected
 
     @pytest.mark.parametrize("command", ["fig2", "fig4"])
     def test_grid_past_half_pi_exit_code(self, tmp_path, capsys, command):
@@ -1233,7 +1269,7 @@ class TestScanRowsMatchRecords:
         table = run_fig2(config)
         gamma = config.gamma
         for chi, theta2, *cells in table.rows:
-            params = config.mzi_params(theta2=theta2, chi=chi)
+            params = config._replace(theta2=theta2, chi=chi).mzi_params()
             try:
                 aav = chi_tilde_aav(params)
                 exact = chi_tilde_exact(params)
@@ -1359,7 +1395,10 @@ class TestThetaGridEdges:
 
 
 class TestStrongLo:
-    """(beta_mag + sqrt(2) |alpha|)**2 bounds the detector counts and must be finite."""
+    """(beta_mag + sqrt(2) |alpha|)**2 bounds the detector counts and must be finite.
+
+    The rest of the readout's domain is checked by the same function.
+    """
 
     MESSAGE = ("lo.beta_mag=1.4e+154 overflows the detector counts: "
                "(beta_mag + sqrt(2) * |alpha|)**2 must be finite, got |alpha|=10.0")
@@ -1411,6 +1450,50 @@ class TestStrongLo:
         lo = LoConfig(beta_mag=1.4e154, xi=math.pi / 2)
         with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
             error_ratio(params, lo, DetectorParams(**DETECTOR))
+
+    READOUT = ("the saturated readout {}flows: {} must be {}, got beta_mag={}, "
+               "k_max={}, n_sat={}")
+
+    @pytest.mark.parametrize("command, raw, message", [
+        # k_max / (2|beta|) overflows: x_saturated was inf and the phase clipped
+        # to pi/2, so eta_e read 1.074907434379e+02 and 2.379901629494e+01.
+        ("fig4", {"mzi": {"chi": 0.01}, "lo": {"beta_mag": 1e-308}, "n_values": [100],
+                  "scan": {"variable": "theta2", "grid": [0.3, 0.7]}},
+         READOUT.format("over", "k_max / (2 * beta_mag)", "finite", 1e-308, 450.0, 500.0)
+         + ", |alpha|=10.0"),
+        # The same at a subnormal LO: x_saturated and eta_e were NaN.
+        ("single", {"mzi": {"theta2": 0.7, "chi": 0.01}, "lo": {"beta_mag": 1e-320}},
+         READOUT.format("over", "k_max / (2 * beta_mag)", "finite", 1e-320, 450.0, 500.0)
+         + ", |alpha|=10.0"),
+        # k_max |alpha_f| overflows: the ratio read 0, so eta_e was 1.0.
+        ("single", {"mzi": {"theta2": 0.3, "chi": 0.01},
+                    "detector": {"k_max": 1.7e308, "n_sat": 1.0}},
+         READOUT.format("over", "k_max * sqrt(2) * |alpha|", "finite", DEFAULT_BETA_MAG,
+                        1.7e308, 1.0) + ", |alpha|=10.0"),
+        # Both overflow here, and x_linear was Infinity.
+        ("single", {"mzi": {"theta2": 0.7, "chi": 0.01},
+                    "detector": {"k_max": 1e308, "n_sat": 1e-300}},
+         READOUT.format("over", "k_max * sqrt(2) * |alpha|", "finite", DEFAULT_BETA_MAG,
+                        1e308, 1e-300) + ", |alpha|=10.0"),
+        # (k_max / N_sat) x_bar alone overflows: x_linear was Infinity.
+        ("single", {"mzi": {"theta2": 0.7, "chi": 0.01},
+                    "detector": {"k_max": 1e300, "n_sat": 1e-300}},
+         READOUT.format("over", "k_max / n_sat * sqrt(2) * |alpha|", "finite",
+                        DEFAULT_BETA_MAG, 1e300, 1e-300) + ", |alpha|=10.0"),
+        # k_max |alpha_f| underflows to 0: the inversion divided by zero.
+        ("single", {"mzi": {"theta2": 0.3, "chi": 0.01, "n_photons": 1e-20},
+                    "detector": {"k_max": 1e-320, "n_sat": 500.0}},
+         READOUT.format("under", "k_max * |alpha_f|", "a normal float at |alpha_f|=1e-15",
+                        DEFAULT_BETA_MAG, 1e-320, 500.0)),
+    ], ids=["fig4 lo 1e-308", "single lo 1e-320", "single k_max 1.7e308",
+            "single k_max 1e308", "single k_max 1e300", "single k_max 1e-320"])
+    def test_readout_off_the_floats_exits_2(self, tmp_path, capsys, command, raw, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"detector": DETECTOR, **raw}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 def _float_steps(x, n):

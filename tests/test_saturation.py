@@ -8,6 +8,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psamzi import (
     DarkPointSingularity,
@@ -31,6 +33,8 @@ from psamzi.saturation import error_ratio_fields
 
 FIG4_DETECTOR = DetectorParams(k_max=450.0, n_sat=500.0)
 FIG4_LO = LoConfig(beta_mag=math.sqrt(10.0), xi=math.pi / 2)
+# The phase of the port field at theta2 0.3, chi 0.01 and a real alpha.
+LOCKED_XI = 0.01447862072854517
 
 # Frozen chain-oracle values at the fig-4 working parameters (chi = 1e-4).
 ETA_N2000_NEAR_DARK = 0.010148240
@@ -363,6 +367,42 @@ class TestErrorRatio:
         rotated_lo = LoConfig(beta_mag=FIG4_LO.beta_mag, xi=FIG4_LO.xi + spin)
         rotated = error_ratio(rotated_params, rotated_lo, FIG4_DETECTOR)
         assert abs(rotated.eta_e - base.eta_e) < 1e-12
+
+    @settings(derandomize=True, database=None, max_examples=1000)
+    # With the LO locked to the port field at theta2 0.3 and chi 0.01 the ratio
+    # is near 1, where each underflow bound of the domain keeps it within rounding.
+    @example(beta_mag=0.0, k_max=-320.0, n_sat=-30.0, n_photons=-27.0,  # k_max |alpha_f| is 0
+             theta2=0.3, chi=0.01, xi=LOCKED_XI, phase=0.0)
+    @example(beta_mag=8.0, k_max=0.0, n_sat=300.0, n_photons=-20.0,  # k_max / N_sat |alpha_f|
+             theta2=0.3, chi=0.01, xi=LOCKED_XI, phase=0.0)
+    @example(beta_mag=-296.0, k_max=0.0, n_sat=-5.0, n_photons=-27.0,  # 2 beta |alpha_f|
+             theta2=0.3, chi=0.01, xi=LOCKED_XI, phase=0.0)
+    @example(beta_mag=-219.0, k_max=36.0, n_sat=104.0, n_photons=0.0,  # 2 beta |alpha_f| / N_sat
+             theta2=0.3, chi=0.01, xi=LOCKED_XI, phase=0.0)
+    @given(beta_mag=st.floats(-320.0, 308.0), k_max=st.floats(-320.0, 308.0),
+           n_sat=st.floats(-320.0, 308.0), n_photons=st.floats(-320.0, 308.0),
+           theta2=st.floats(0.0, math.pi / 2), chi=st.floats(1e-3, 1.5),
+           xi=st.floats(-math.pi, math.pi), phase=st.floats(-math.pi, math.pi))
+    def test_whole_float_range(self, beta_mag, k_max, n_sat, n_photons, theta2, chi, xi,
+                               phase):
+        # LO, detector and photon number 10**(-320..308): error_ratio refuses
+        # them with ValueError or returns finite fields whose inversion passes
+        # +-1 by rounding alone.  chi stays clear of the subnormals, since eta_e
+        # divides by the amplified phase.
+        params = MziParams(theta2=theta2, chi=chi,
+                           alpha=coherent_amplitude(10.0**n_photons, phase))
+        det = DetectorParams(k_max=10.0**k_max, n_sat=10.0**n_sat)
+        try:
+            report = error_ratio(params, LoConfig(beta_mag=10.0**beta_mag, xi=xi), det)
+        except ValueError as exc:
+            assert str(exc).startswith(("lo.beta_mag=", "the saturated readout "))
+            return
+        except (DarkPointSingularity, ZeroAmplitude, ZeroSignal):
+            return
+        assert all(map(math.isfinite, report))
+        ratio = (report.x_saturated * det.n_sat
+                 / (det.k_max * chi_tilde_exact(params).alpha_f_mag))
+        assert abs(ratio) <= 1.0 + 2 * sys.float_info.epsilon
 
     def test_zero_signal_raises(self):
         with pytest.raises(ZeroSignal):

@@ -134,6 +134,16 @@ def write_inputs(folder: Path) -> dict[str, str]:
         "lo_1.4e154": {**STRONG, "lo": {"beta_mag": 1.4e154}},
         "fig4_lo_1.3e154": {**STRONG_FIG4, "lo": {"beta_mag": 1.3e154}},
         "fig4_lo_1.4e154": {**STRONG_FIG4, "lo": {"beta_mag": 1.4e154}},
+        # Each takes one term of the saturated readout off the floats.
+        "fig4_lo_1e-308": {**STRONG_FIG4, "lo": {"beta_mag": 1e-308}, "n_values": [100]},
+        "lo_1e-320": {**STRONG, "lo": {"beta_mag": 1e-320}},
+        "k_max_1.7e308": {"mzi": {"theta2": 0.3, "chi": 0.01},
+                          "detector": {"k_max": 1.7e308, "n_sat": 1.0}},
+        "n_sat_1e-300": {**STRONG, "detector": {"k_max": 1e308, "n_sat": 1e-300}},
+        "k_max_1e300": {**STRONG, "detector": {"k_max": 1e300, "n_sat": 1e-300}},
+        "k_max_1e-320": {"mzi": {"theta2": 0.3, "chi": 0.01, "n_photons": 1e-20},
+                         "detector": {"k_max": 1e-320, "n_sat": 500.0}},
+        "below_output_path": {"mzi": POINTS["below"], "output": {"path": "out.json"}},
         "dark_zero_phase": {"mzi": {"theta2": DARK, "chi": 0.0}},
         # Re(a_w) * 1e308 overflows where a_w > 1.8.
         "chi_1e308": {"chi_values": [1e308]},
@@ -298,6 +308,16 @@ def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
          ["single", "--config", f["corner_det"]]),
         ("single theta2 pi/2, chi -pi/2, gamma pi, no photons",
          ["single", "--config", f["corner_no_photons"]]),
+        ("fig4 LO 1e-308", ["fig4", "--config", f["fig4_lo_1e-308"], "--scan", "theta2",
+                            "0.3", "0.7", "2"]),
+        ("single LO 1e-320", ["single", "--config", f["lo_1e-320"]]),
+        ("single k_max 1.7e308, n_sat 1", ["single", "--config", f["k_max_1.7e308"]]),
+        ("single k_max 1e308, n_sat 1e-300", ["single", "--config", f["n_sat_1e-300"]]),
+        ("single k_max 1e300, n_sat 1e-300", ["single", "--config", f["k_max_1e300"]]),
+        ("single k_max 1e-320, 1e-20 photons", ["single", "--config", f["k_max_1e-320"]]),
+        ("single --self-check --out", below + ["--self-check", f["empty"], "--out", "out.json"]),
+        ("single --self-check, output.path",
+         ["single", "--config", f["below_output_path"], "--self-check", f["empty"]]),
     ]
     for name in UNREAD:
         seed = ["--seed", "1"] if name == "fig3" else []
