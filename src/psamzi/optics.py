@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -55,13 +56,22 @@ class _Checked:
         return (), self._asdict()
 
 
+# The port intensities |alpha_f|**2 and |alpha_fbar|**2 sum to |alpha|**2, and
+# rounding in the port fields lifts either by at most about 14 float steps of
+# |alpha|**2 (5 seen in a fuzz of the worst angles).  A margin of 2**-46, 64
+# steps, below the largest float keeps both intensities and their difference
+# finite; at the largest float itself, one of them overflows near theta2 pi/4.
+_MAX_ALPHA = math.sqrt(sys.float_info.max * (1.0 - 2.0**-46))
+
+
 class MziParams(_Checked, namedtuple("MziParams", "theta2 chi alpha gamma")):
     """All knobs of a single pass through the interferometer.
 
     The first splitter is 50:50.  Angles are radians: ``theta2`` is the second
     splitter's mixing angle, ``chi`` the signal phase picked up in arm 1 and
     ``gamma`` the modulation phase in arm 2.  ``alpha`` is the input coherent
-    amplitude; its squared magnitude is the mean photon number.
+    amplitude; its squared magnitude is the mean photon number, which must lie
+    a margin below the largest float so that the port intensities are finite.
     """
 
     __slots__ = ()
@@ -72,6 +82,9 @@ class MziParams(_Checked, namedtuple("MziParams", "theta2 chi alpha gamma")):
         if not all(map(cmath.isfinite, (chi, gamma, alpha))):
             raise ValueError(f"chi, gamma and alpha must be finite, got chi={chi}, "
                              f"gamma={gamma}, alpha={alpha}")
+        if abs(alpha) > _MAX_ALPHA:
+            raise ValueError(f"the photon number |alpha|**2 overflows the port intensities: "
+                             f"|alpha| must be at most {_MAX_ALPHA}, got |alpha|={abs(alpha)}")
         return super().__new__(cls, theta2, chi, alpha, gamma)
 
     @property

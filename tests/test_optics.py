@@ -2,10 +2,11 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psamzi import (
@@ -18,6 +19,8 @@ from psamzi import (
     propagate_mzi,
     wrap_angle,
 )
+
+from psamzi.optics import _MAX_ALPHA, port_fields
 
 from oracles import matrix_oracle
 
@@ -199,3 +202,51 @@ class TestHelpers:
         params = MziParams(theta2=0.3, chi=0.0, alpha=coherent_amplitude(25.0, -0.2))
         assert math.isclose(params.n_photons, 25.0, rel_tol=1e-14)
         assert math.isclose(params.input_phase, -0.2, rel_tol=1e-14)
+
+
+class TestPhotonNumberBound:
+    """MziParams refuses a photon number whose port intensities would overflow."""
+
+    # theta2 within a few float steps of pi/4, where |unit| reaches sqrt(2), and
+    # gamma at chi or chi + pi, where one port takes all the light.
+    NEAR_DARK = st.integers(-4, 4).map(lambda n: math.pi / 4 + n * sys.float_info.epsilon / 2)
+
+    def test_refuses_overflowing_amplitude(self):
+        with pytest.raises(ValueError, match="overflows the port intensities"):
+            MziParams(0.3, 0.1, 1e200 + 0j)
+
+    def test_refuses_the_largest_photon_number(self):
+        # At the largest float, this point's complement intensity overflowed:
+        # gamma = chi sends all the light there, as propagate_mzi forms it.
+        theta2, chi, phase = 0.7853981633974482, 2.5775710095969133, -0.9172543786173515
+        alpha = coherent_amplitude(sys.float_info.max, phase)
+        unit_fbar = -1j * (cmath.exp(1j * chi) * math.sin(theta2)
+                           + cmath.exp(1j * chi) * math.cos(theta2))
+        with pytest.raises(OverflowError):
+            abs(port_fields([unit_fbar], [alpha])[0][0]) ** 2
+        with pytest.raises(ValueError, match="overflows the port intensities"):
+            MziParams(theta2=theta2, chi=chi, gamma=chi, alpha=alpha)
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @example(theta2=0.7853981633974482, chi=2.5775710095969133, gap=0.0,
+             phase=-0.9172543786173515, steps=0)
+    @given(theta2=st.one_of(NEAR_DARK, st.floats(0.0, math.pi / 2)),
+           chi=st.floats(-math.pi, math.pi), gap=st.sampled_from((0.0, math.pi, -math.pi)),
+           phase=st.floats(-math.pi, math.pi), steps=st.integers(-3, 64))
+    def test_intensities_finite_near_the_bound(self, theta2, chi, gap, phase, steps):
+        # |alpha| from 3 float steps above the bound to 64 below it: refused
+        # exactly above the bound, and with finite intensities at or below it.
+        mag = _MAX_ALPHA
+        for _ in range(abs(steps)):
+            mag = math.nextafter(mag, math.copysign(math.inf, -steps))
+        alpha = cmath.rect(mag, phase)
+        if abs(alpha) > _MAX_ALPHA:
+            with pytest.raises(ValueError, match="overflows the port intensities"):
+                MziParams(theta2=theta2, chi=chi, gamma=chi + gap, alpha=alpha)
+            return
+        params = MziParams(theta2=theta2, chi=chi, gamma=chi + gap, alpha=alpha)
+        fields = propagate_mzi(params)
+        assert math.isfinite(params.n_photons)
+        assert math.isfinite(fields.intensity_f)
+        assert math.isfinite(fields.intensity_fbar)
+        assert math.isfinite(intensity_difference(params))

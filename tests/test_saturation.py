@@ -372,23 +372,28 @@ class TestErrorRatio:
     # With the LO locked to the port field at theta2 0.3 and chi 0.01 the ratio
     # is near 1, where each underflow bound of the domain keeps it within rounding.
     @example(beta_mag=0.0, k_max=-320.0, n_sat=-30.0, n_photons=-27.0,  # k_max |alpha_f| is 0
-             theta2=0.3, chi=0.01, xi=LOCKED_XI, phase=0.0)
+             theta2=0.3, chi=-2.0, xi=LOCKED_XI, phase=0.0)
     @example(beta_mag=8.0, k_max=0.0, n_sat=300.0, n_photons=-20.0,  # k_max / N_sat |alpha_f|
-             theta2=0.3, chi=0.01, xi=LOCKED_XI, phase=0.0)
+             theta2=0.3, chi=-2.0, xi=LOCKED_XI, phase=0.0)
     @example(beta_mag=-296.0, k_max=0.0, n_sat=-5.0, n_photons=-27.0,  # 2 beta |alpha_f|
-             theta2=0.3, chi=0.01, xi=LOCKED_XI, phase=0.0)
+             theta2=0.3, chi=-2.0, xi=LOCKED_XI, phase=0.0)
     @example(beta_mag=-219.0, k_max=36.0, n_sat=104.0, n_photons=0.0,  # 2 beta |alpha_f| / N_sat
-             theta2=0.3, chi=0.01, xi=LOCKED_XI, phase=0.0)
+             theta2=0.3, chi=-2.0, xi=LOCKED_XI, phase=0.0)
+    # A subnormal amplified phase, 1.4e-313, at the fig4 detector and 100 photons.
+    @example(beta_mag=math.log10(3.0), k_max=math.log10(450.0), n_sat=math.log10(500.0),
+             n_photons=2.0, theta2=0.3, chi=-313.0, xi=2.6, phase=0.0)
     @given(beta_mag=st.floats(-320.0, 308.0), k_max=st.floats(-320.0, 308.0),
            n_sat=st.floats(-320.0, 308.0), n_photons=st.floats(-320.0, 308.0),
-           theta2=st.floats(0.0, math.pi / 2), chi=st.floats(1e-3, 1.5),
+           theta2=st.floats(0.0, math.pi / 2), chi=st.floats(-330.0, 0.17),
            xi=st.floats(-math.pi, math.pi), phase=st.floats(-math.pi, math.pi))
     def test_whole_float_range(self, beta_mag, k_max, n_sat, n_photons, theta2, chi, xi,
                                phase):
-        # LO, detector and photon number 10**(-320..308): error_ratio refuses
-        # them with ValueError or returns finite fields whose inversion passes
-        # +-1 by rounding alone.  chi stays clear of the subnormals, since eta_e
-        # divides by the amplified phase.
+        # LO, detector and photon number 10**(-320..308), and chi 10**(-330..0.17)
+        # from zero through the subnormals to 1.5: error_ratio refuses them with
+        # ValueError, or with ZeroSignal where the amplified phase is zero or
+        # subnormal, or returns finite fields whose inversion passes +-1 by
+        # rounding alone.
+        chi = 10.0**chi
         params = MziParams(theta2=theta2, chi=chi,
                            alpha=coherent_amplitude(10.0**n_photons, phase))
         det = DetectorParams(k_max=10.0**k_max, n_sat=10.0**n_sat)
@@ -412,6 +417,20 @@ class TestErrorRatio:
                 FIG4_DETECTOR,
             )
 
+    def test_subnormal_signal_raises(self):
+        # eta_e divided by the amplified phase, 1.4e-313 here, and overflowed.
+        params = MziParams(theta2=0.3, chi=1e-313, alpha=10.0 + 0j)
+        assert 0.0 < chi_tilde_exact(params).chi_tilde < sys.float_info.min
+        with pytest.raises(ZeroSignal, match="zero or subnormal"):
+            error_ratio(params, LoConfig(beta_mag=3.0, xi=2.6), FIG4_DETECTOR)
+        # The least normal amplified phase keeps eta_e below (pi/2) / |chi_tilde| + 1.
+        params = params._replace(chi=sys.float_info.min)
+        chi_tilde = chi_tilde_exact(params).chi_tilde
+        assert chi_tilde >= sys.float_info.min
+        eta_e = error_ratio(params, LoConfig(beta_mag=3.0, xi=2.6), FIG4_DETECTOR).eta_e
+        assert math.isfinite(eta_e)
+        assert eta_e <= (math.pi / 2) / chi_tilde + 1
+
     def test_dark_point_raises(self):
         with pytest.raises(ZeroAmplitude):
             error_ratio(
@@ -430,3 +449,50 @@ class TestErrorRatio:
                 FIG4_LO,
                 FIG4_DETECTOR,
             )
+
+
+class TestOffTheFloats:
+    """Each public saturation function raises ValueError where its terms leave the floats."""
+
+    @pytest.mark.parametrize("call, quantity", [
+        pytest.param(lambda: saturated_quadrature(1e-308, math.pi / 2, 0.5 + 0.5j,
+                                                  FIG4_DETECTOR),
+                     "k_max / (2 * beta_mag) must be finite", id="quadrature was inf"),
+        pytest.param(lambda: saturated_quadrature(1e200, 0.0, 1e200 + 0j, FIG4_DETECTOR),
+                     "(beta_mag + |alpha_f|)**2 must be finite", id="quadrature overflowed"),
+        pytest.param(lambda: detector_counts(1e200, 0.0, 1e200 + 0j),
+                     "(beta_mag + |alpha_f|)**2 must be finite", id="counts overflowed"),
+        pytest.param(lambda: invert_phase_linear_model(1.0, 7.0, DetectorParams(1.7e308, 1.0)),
+                     "k_max * |alpha_f| must be finite", id="inversion read 0"),
+        pytest.param(lambda: invert_phase_linear_model(0.0, 1e-10, DetectorParams(1e-320, 1.0)),
+                     "k_max * |alpha_f| must be a normal float", id="inversion divided by 0"),
+    ])
+    def test_names_the_quantity(self, call, quantity):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert quantity in str(info.value)
+
+    @settings(derandomize=True, database=None, max_examples=250)
+    @given(beta_mag=st.floats(-320.0, 308.0), k_max=st.floats(-320.0, 308.0),
+           n_sat=st.floats(-320.0, 308.0), field=st.floats(-320.0, 308.0),
+           x=st.floats(-320.0, 308.0), sign=st.sampled_from((1.0, -1.0)),
+           xi=st.floats(-math.pi, math.pi), phase=st.floats(-math.pi, math.pi))
+    def test_finite_or_value_error(self, beta_mag, k_max, n_sat, field, x, sign, xi, phase):
+        # Every input 10**(-320..308): each function returns finite values or
+        # raises ValueError.  The inversion also raises ZeroAmplitude where
+        # |alpha_f| is at most the zero-amplitude tolerance.
+        beta_mag, field, x = 10.0**beta_mag, 10.0**field, sign * 10.0**x
+        det = DetectorParams(k_max=10.0**k_max, n_sat=10.0**n_sat)
+        alpha_f = cmath.rect(field, phase)
+        calls = [
+            lambda: [detector_current(field, det)],
+            lambda: detector_counts(beta_mag, xi, alpha_f),
+            lambda: [saturated_quadrature(beta_mag, xi, alpha_f, det)],
+            lambda: invert_phase_linear_model(x, field, det)[:1],
+        ]
+        for call in calls:
+            try:
+                values = call()
+            except (ValueError, ZeroAmplitude):
+                continue
+            assert all(map(math.isfinite, values))

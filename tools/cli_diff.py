@@ -3,14 +3,19 @@
 Usage: python tools/cli_diff.py OTHER_ROOT
 
 OTHER_ROOT is another checkout of the repository, for example an export of
-the parent commit.  Each case of a fixed list runs as ``python -m psamzi.cli``
-once with this tree's ``src/`` and once with OTHER_ROOT's ``src/`` on
-PYTHONPATH, each time in a fresh empty working directory.  The script compares
-stdout, stderr, the exit code and every file the run left in that directory
-(the ``--out`` file, or a stray file such as one named after a bad
-``output.path``).  It prints ``k of n identical`` and each case that differs,
-with, for each stream or file that differs, how many lines differ and the
-first differing line of each side; it exits 1 on any difference.
+the parent commit.  Each case of one table is a label, an argv and the input
+files that case reads.  It runs as ``python -m psamzi.cli`` once with this
+tree's ``src/`` and once with OTHER_ROOT's ``src/`` on PYTHONPATH, each time in
+a fresh working directory that holds only the case's inputs, which the argv
+names by relative path.  The script compares stdout, stderr, the exit code and
+every file in that directory after the run (the inputs, the ``--out`` file, or
+a stray file such as one named after a bad ``output.path``).  It prints ``k of
+n identical`` and each case that differs, with, for each stream or file that
+differs, how many lines differ and the first differing line of each side; it
+exits 1 on any difference.
+
+Importing this module has no side effects: ``cases()`` builds the table and
+``write_inputs`` writes one case's inputs.
 """
 
 from __future__ import annotations
@@ -75,6 +80,13 @@ ZERO_EDGE = {"theta2": 0.20467700760972934, "chi": 0.29490315138317835,
 ZERO_EDGE_SCAN = {"variable": "theta2", "grid": [ZERO_EDGE["theta2"]]}
 # A corner where the complement's unit amplitude has zero parts.
 CORNER = {"theta2": math.pi / 2, "chi": -math.pi / 2, "gamma": math.pi}
+# An amplified phase of 1.4e-313, a subnormal, at a finite readout.
+SUBNORMAL_PHASE = {"mzi": {"chi": 1e-313}, "lo": {"beta_mag": 3.0, "xi": 2.6},
+                   "detector": DETECTOR}
+# The largest photon number, and a point where a port intensity overflows at it.
+LARGEST_N = {"n_photons": sys.float_info.max}
+LARGEST_N_POINT = {"theta2": 0.7853981633974482, "chi": 2.5775710095969133,
+                   "gamma": 2.5775710095969133, "input_phase": -0.9172543786173515}
 # A valid run of each subcommand plus a key it does not read.
 UNREAD = {"fig2": {"mzi": {"chi": 0.5}}, "fig3": {"detector": DETECTOR},
           "fig4": {"detector": DETECTOR, "chi_values": [1e-3]},
@@ -108,245 +120,231 @@ GRIDS = {
 FORMATS = {"csv": ["--format", "csv", "--out", "out.csv"], "json": ["--format", "json"]}
 # single always writes its JSON record, to --out or to stdout.
 SINGLE_OUTPUTS = {"--out": ["--out", "out.json"], "stdout": []}
+# The file that an input given in place of a flag's value is written to.
+INPUT_NAMES = {"--config": "config.json", "--self-check": "expected.json"}
+# An existing directory, for the cases that read or write one where a file belongs.
+DIRECTORY = {"directory": None}
+
+# A case: its label, its argv, and its inputs by relative name, each the bytes
+# of a file or None for an empty directory.
+Case = tuple[str, list[str], dict[str, "bytes | None"]]
 
 
-def write_inputs(folder: Path) -> dict[str, str]:
-    """Write the files the cases read; return their paths by name."""
-    objects: dict[str, object] = {
-        "det": {"detector": DETECTOR},
-        "neg_seed": {"shots": {"seed": -5}},
-        "null_path": {"output": {"path": None}},
-        "int_path": {"mzi": POINTS["below"], "output": {"path": 7}},
-        "bad_detector": {"detector": {"k_max": "x"}},
-        "list_root": [1, 2],
-        "empty": {},
-        "chi_1e-5": {"chi_values": [1e-5]},
-        "runs_2": {"shots": {"seed": 3, "runs": 2}},
-        "theta1_pi_4": {"mzi": {"theta1": math.pi / 4}},
-        "theta1_0.3": {"mzi": {"theta1": 0.3}},
-        "input_phase_0.3": {"mzi": {"input_phase": 0.3}},
-        "balanced": BALANCED,
-        "balanced_fig4": {**BALANCED, "mzi": {"chi": BALANCED["mzi"]["chi"]},
-                          "n_values": [BALANCED["mzi"]["n_photons"]]},
-        "strong_lo": STRONG_LO,
-        "no_photons": {"mzi": {"n_photons": 0}},
-        "lo_1.3e154": {**STRONG, "lo": {"beta_mag": 1.3e154}},
-        "lo_1.4e154": {**STRONG, "lo": {"beta_mag": 1.4e154}},
-        "fig4_lo_1.3e154": {**STRONG_FIG4, "lo": {"beta_mag": 1.3e154}},
-        "fig4_lo_1.4e154": {**STRONG_FIG4, "lo": {"beta_mag": 1.4e154}},
-        # Each takes one term of the saturated readout off the floats.
-        "fig4_lo_1e-308": {**STRONG_FIG4, "lo": {"beta_mag": 1e-308}, "n_values": [100]},
-        "lo_1e-320": {**STRONG, "lo": {"beta_mag": 1e-320}},
-        "k_max_1.7e308": {"mzi": {"theta2": 0.3, "chi": 0.01},
-                          "detector": {"k_max": 1.7e308, "n_sat": 1.0}},
-        "n_sat_1e-300": {**STRONG, "detector": {"k_max": 1e308, "n_sat": 1e-300}},
-        "k_max_1e300": {**STRONG, "detector": {"k_max": 1e300, "n_sat": 1e-300}},
-        "k_max_1e-320": {"mzi": {"theta2": 0.3, "chi": 0.01, "n_photons": 1e-20},
-                         "detector": {"k_max": 1e-320, "n_sat": 500.0}},
-        "below_output_path": {"mzi": POINTS["below"], "output": {"path": "out.json"}},
-        "dark_zero_phase": {"mzi": {"theta2": DARK, "chi": 0.0}},
-        # Re(a_w) * 1e308 overflows where a_w > 1.8.
-        "chi_1e308": {"chi_values": [1e308]},
-        "aav_overflow": {"mzi": {"theta2": 0.5, "chi": 1e308}},
-        "lo_no_beta": {"lo": {"xi": 0.1}},
-        "detector_k_max": {"detector": {"k_max": 450.0}},
-        "scan_variable": {"scan": {"variable": "theta2"}},
-        # json writes and reads NaN, which is not a finite number.
-        "nan_chi": {"mzi": {"theta2": 0.7, "chi": math.nan}},
-        # The detector-count bound of keys the run does not read, and of the
-        # largest |alpha| it does.
-        "fig4_n_photons_1e308": {"mzi": {"n_photons": 1e308}, "detector": DETECTOR},
-        "single_n_values_1e308": {"mzi": POINTS["below"], "detector": DETECTOR,
-                                  "n_values": [1e308]},
-        "fig4_n_values_1_lo_1.4e154": {**STRONG_FIG4, "lo": {"beta_mag": 1.4e154},
-                                       "n_values": [1.0]},
-        "single_precision_3": {"mzi": POINTS["below"], "output": {"precision": 3}},
-        "port_field_fig2": {"mzi": {"gamma": PORT_FIELD["gamma"],
-                                    "n_photons": PORT_FIELD_FIG2_PHOTONS},
-                            "chi_values": [PORT_FIELD["chi"]],
-                            "scan": {"variable": "theta2", "grid": [PORT_FIELD["theta2"]]}},
-        "port_field_single": {"mzi": PORT_FIELD},
-        "zero_edge_fig2": {"mzi": {"n_photons": ZERO_EDGE["n_photons"]},
-                           "chi_values": [ZERO_EDGE["chi"]], "scan": ZERO_EDGE_SCAN},
-        "zero_edge_fig4": {"mzi": {"chi": ZERO_EDGE["chi"]}, "detector": DETECTOR,
-                           "n_values": [ZERO_EDGE["n_photons"]], "scan": ZERO_EDGE_SCAN},
-        "zero_edge_single": {"mzi": ZERO_EDGE, "detector": DETECTOR},
-        "corner": {"mzi": CORNER},
-        "corner_det": {"mzi": CORNER, "detector": DETECTOR},
-        "corner_no_photons": {"mzi": {**CORNER, "n_photons": 0}},
-    }
-    for n in DARK_EDGE_SINGLE_STEPS:
-        objects[f"dark_edge_{n}"] = {"mzi": {"theta2": float_steps(DARK, n), "chi": 0.01},
-                                     "detector": DETECTOR}
-    for name in ("fig2", "fig4"):
-        objects[f"hoisted_{name}"] = HOISTED[name]
-        objects[f"dark_edge_{name}"] = DARK_EDGE[name]
-    for name, raw in UNREAD.items():
-        objects[f"unread_{name}"] = raw
-    for runs in (2, 7):
-        objects[f"block_cap_runs_{runs}"] = {
-            "shots": {"seed": 5, "runs": runs},
-            "scan": {"variable": "m", "grid": BLOCK_CAP_M},
-        }
-    for name, mzi in POINTS.items():
-        objects[name] = {"mzi": mzi}
-        objects[f"{name}_det"] = {"mzi": mzi, "detector": DETECTOR}
-    paths = {name: folder / f"{name}.json" for name in objects}
-    for name, value in objects.items():
-        paths[name].write_text(json.dumps(value), encoding="utf-8")
-    paths["malformed"] = folder / "malformed.json"
-    paths["malformed"].write_text("{not json", encoding="utf-8")
-    paths["latin1"] = folder / "latin1.json"
-    paths["latin1"].write_bytes(b'{"mzi": {"chi": "\xff"}}')
-    # An integer past the largest float, and one too long for int().
-    paths["chi_1e400"] = folder / "chi_1e400.json"
-    paths["chi_1e400"].write_text('{"mzi": {"chi": 1' + "0" * 400 + "}}", encoding="utf-8")
-    paths["chi_4301_digits"] = folder / "chi_4301_digits.json"
-    paths["chi_4301_digits"].write_text('{"mzi": {"chi": 1' + "0" * 4300 + "}}",
-                                        encoding="utf-8")
-    paths["directory"] = folder / "directory"
-    paths["directory"].mkdir()
-    paths["missing"] = folder / "missing.json"
-    return {name: str(path) for name, path in paths.items()}
+def case(label: str, argv: list[object], inputs: dict[str, bytes | None] | None = None) -> Case:
+    """The case ``label`` with ``argv``, whose non-string items are inputs.
+
+    An input in place of a flag's value is bytes, or a value that is written
+    as JSON; it goes to that flag's INPUT_NAMES file, which the argv then names.
+    ``inputs`` adds inputs that the argv names itself.
+    """
+    files, names = dict(inputs or {}), []
+    for flag, arg in zip([None, *argv], argv):
+        if not isinstance(arg, str):
+            files[INPUT_NAMES[flag]] = (arg if isinstance(arg, bytes)
+                                        else json.dumps(arg).encode("utf-8"))
+            arg = INPUT_NAMES[flag]
+        names.append(arg)
+    return label, names, files
 
 
-def cases(f: dict[str, str]) -> list[tuple[str, list[str]]]:
-    """(label, argv) for every case, valid ones first."""
+def cases() -> list[Case]:
+    """Every case, valid ones first."""
+    det = {"detector": DETECTOR}
     scans = {
         "fig2": ["fig2"],
         "fig3 seed 1": ["fig3", "--seed", "1"],
         "fig3 seed 7": ["fig3", "--seed", "7"],
-        "fig4 detector": ["fig4", "--config", f["det"]],
+        "fig4 detector": ["fig4", "--config", det],
     }
     out = [
-        (f"{name}, {grid}, {fmt}", argv + scan + fmt_args)
+        case(f"{name}, {grid}, {fmt}", argv + scan + fmt_args)
         for name, argv in scans.items()
         for grid, scan in GRIDS.items()
         for fmt, fmt_args in FORMATS.items()
     ]
-    for point in POINTS:
-        for suffix, detector in (("", "no detector"), ("_det", "detector")):
-            for where, out_args in SINGLE_OUTPUTS.items():
-                out.append((f"single {point} dark point, {detector}, {where}",
-                            ["single", "--config", f[point + suffix]] + out_args))
-    below = ["single", "--config", f["below"]]
     out += [
-        ("fig2 grid within 1e-7 of pi/4, chi 1e-5",
-         ["fig2", "--config", f["chi_1e-5"], "--scan", "theta2", "0.78539806",
-          "0.78539826", "5"]),
-        ("fig3 shots.runs 2", ["fig3", "--config", f["runs_2"]]),
-        ("fig3 descending m grid", ["fig3", "--seed", "7", "--scan", "m", "10000", "1", "3"]),
-        ("fig3 past dark point, gamma 0.05", ["fig3", "--config", f["past"], "--seed", "7"]),
-        ("fig3 no photons", ["fig3", "--config", f["no_photons"], "--seed", "1"]),
-        ("fig3 dark point, chi 0", ["fig3", "--config", f["dark_zero_phase"], "--seed", "1"]),
-        ("fig2 --out directory", ["fig2", "--out", f["directory"]]),
-        ("fig2 --out missing directory", ["fig2", "--out", f["directory"] + "/missing/x.csv"]),
-        ("single --out directory", below + ["--out", f["directory"]]),
-        ("fig2 --seed 5", ["fig2", "--seed", "5"]),
-        ("single --format csv", below + ["--format", "csv"]),
-        ("single --scan", below + ["--scan", "theta2", "0.1", "0.2", "2"]),
-        ("single self-check mismatch", below + ["--self-check", f["empty"]]),
-        ("fig3 --seed -1", ["fig3", "--seed", "-1"]),
-        ("fig2 --seed -1", ["fig2", "--seed", "-1"]),
-        ("fig4 --seed -1", ["fig4", "--config", f["det"], "--seed", "-1"]),
-        ("single --seed -1", below + ["--seed", "-1"]),
-        ("fig3 shots.seed -5", ["fig3", "--config", f["neg_seed"]]),
-        ("fig2 output.path null", ["fig2", "--config", f["null_path"]]),
-        ("single output.path 7", ["single", "--config", f["int_path"]]),
-        ("fig2 --config directory", ["fig2", "--config", f["directory"]]),
-        ("fig2 --config non-UTF-8", ["fig2", "--config", f["latin1"]]),
-        ("fig2 --config missing", ["fig2", "--config", f["missing"]]),
-        ("single --self-check malformed", below + ["--self-check", f["malformed"]]),
-        ("single --self-check list", below + ["--self-check", f["list_root"]]),
-        ("single --self-check missing", below + ["--self-check", f["missing"]]),
-        # Paths the messages name exactly as given, unnormalised.
-        ("fig2 --config ''", ["fig2", "--config", ""]),
-        ("fig2 --config ./missing//cfg.json", ["fig2", "--config", "./missing//cfg.json"]),
-        ("fig2 --out ''", ["fig2", "--out", ""]),
-        ("single --self-check ./x//y.json", below + ["--self-check", "./x//y.json"]),
-        ("fig4 multi-fault detector", ["fig4", "--config", f["bad_detector"]]),
-        ("fig2 mzi.theta1 pi/4", ["fig2", "--config", f["theta1_pi_4"]]),
-        ("single mzi.theta1 0.3", ["single", "--config", f["theta1_0.3"]]),
-        ("fig2 mzi.input_phase 0.3", ["fig2", "--config", f["input_phase_0.3"]]),
-        ("single balanced LO", ["single", "--config", f["balanced"]]),
-        ("fig4 one row, balanced LO",
-         ["fig4", "--config", f["balanced_fig4"], "--scan", "theta2",
-          repr(BALANCED["mzi"]["theta2"]), repr(BALANCED["mzi"]["theta2"]), "1"]),
-        ("single strong LO", ["single", "--config", f["strong_lo"]]),
-        ("fig2 grid past pi/2", ["fig2", "--scan", "theta2", "1.5", "1.7", "5"]),
-        ("fig4 grid past pi/2",
-         ["fig4", "--config", f["det"], "--scan", "theta2", "1.5", "1.7", "5"]),
-        ("fig2 scan over m", ["fig2", "--scan", "m", "1", "2", "2"]),
-        ("fig3 m grid to 1e300", ["fig3", "--seed", "1", "--scan", "m", "1", "1e300", "2"]),
-        ("fig2 chi_values 1e308, default grid, csv",
-         ["fig2", "--config", f["chi_1e308"]] + FORMATS["csv"]),
-        ("single theta2 0.5, chi 1e308", ["single", "--config", f["aav_overflow"]]),
-        ("fig2 lo without beta_mag", ["fig2", "--config", f["lo_no_beta"]]),
-        ("fig4 detector with only k_max", ["fig4", "--config", f["detector_k_max"]]),
-        ("fig2 scan with only variable", ["fig2", "--config", f["scan_variable"]]),
-        ("single mzi.chi NaN", ["single", "--config", f["nan_chi"]]),
-        ("fig2 --scan not a number", ["fig2", "--scan", "theta2", "a", "1", "3"]),
-        ("single mzi.chi 1e400 as an integer", ["single", "--config", f["chi_1e400"]]),
-        ("single mzi.chi of 4301 digits", ["single", "--config", f["chi_4301_digits"]]),
-        ("fig4 mzi.n_photons 1e308", ["fig4", "--config", f["fig4_n_photons_1e308"]]),
-        ("single n_values [1e308]", ["single", "--config", f["single_n_values_1e308"]]),
-        ("fig4 n_values [1.0], LO 1.4e154",
-         ["fig4", "--config", f["fig4_n_values_1_lo_1.4e154"]]),
-        ("single output.precision 3", ["single", "--config", f["single_precision_3"]]),
-        ("fig2 one angle where the port intensities differed, json",
-         ["fig2", "--config", f["port_field_fig2"]] + FORMATS["json"]),
-        ("single where the port intensities differed",
-         ["single", "--config", f["port_field_single"]]),
-        ("fig2 |alpha_f| exactly 1e-15, json",
-         ["fig2", "--config", f["zero_edge_fig2"]] + FORMATS["json"]),
-        ("fig4 |alpha_f| exactly 1e-15, json",
-         ["fig4", "--config", f["zero_edge_fig4"]] + FORMATS["json"]),
-        ("single |alpha_f| exactly 1e-15, detector",
-         ["single", "--config", f["zero_edge_single"]]),
-        ("single theta2 pi/2, chi -pi/2, gamma pi", ["single", "--config", f["corner"]]),
-        ("single theta2 pi/2, chi -pi/2, gamma pi, detector",
-         ["single", "--config", f["corner_det"]]),
-        ("single theta2 pi/2, chi -pi/2, gamma pi, no photons",
-         ["single", "--config", f["corner_no_photons"]]),
-        ("fig4 LO 1e-308", ["fig4", "--config", f["fig4_lo_1e-308"], "--scan", "theta2",
-                            "0.3", "0.7", "2"]),
-        ("single LO 1e-320", ["single", "--config", f["lo_1e-320"]]),
-        ("single k_max 1.7e308, n_sat 1", ["single", "--config", f["k_max_1.7e308"]]),
-        ("single k_max 1e308, n_sat 1e-300", ["single", "--config", f["n_sat_1e-300"]]),
-        ("single k_max 1e300, n_sat 1e-300", ["single", "--config", f["k_max_1e300"]]),
-        ("single k_max 1e-320, 1e-20 photons", ["single", "--config", f["k_max_1e-320"]]),
-        ("single --self-check --out", below + ["--self-check", f["empty"], "--out", "out.json"]),
-        ("single --self-check, output.path",
-         ["single", "--config", f["below_output_path"], "--self-check", f["empty"]]),
+        case(f"single {point} dark point, {detector}, {where}",
+             ["single", "--config", {"mzi": mzi, **extra}] + out_args)
+        for point, mzi in POINTS.items()
+        for detector, extra in (("no detector", {}), ("detector", det))
+        for where, out_args in SINGLE_OUTPUTS.items()
     ]
-    for name in UNREAD:
-        seed = ["--seed", "1"] if name == "fig3" else []
-        out.append((f"{name} unread key", [name, "--config", f[f"unread_{name}"]] + seed))
+    below = ["single", "--config", {"mzi": POINTS["below"]}]
+    out += [
+        case("fig2 grid within 1e-7 of pi/4, chi 1e-5",
+             ["fig2", "--config", {"chi_values": [1e-5]}, "--scan", "theta2", "0.78539806",
+              "0.78539826", "5"]),
+        case("fig3 shots.runs 2", ["fig3", "--config", {"shots": {"seed": 3, "runs": 2}}]),
+        case("fig3 descending m grid", ["fig3", "--seed", "7", "--scan", "m", "10000", "1", "3"]),
+        case("fig3 past dark point, gamma 0.05",
+             ["fig3", "--config", {"mzi": POINTS["past"]}, "--seed", "7"]),
+        case("fig3 no photons", ["fig3", "--config", {"mzi": {"n_photons": 0}}, "--seed", "1"]),
+        case("fig3 dark point, chi 0",
+             ["fig3", "--config", {"mzi": {"theta2": DARK, "chi": 0.0}}, "--seed", "1"]),
+        case("fig2 --out directory", ["fig2", "--out", "directory"], DIRECTORY),
+        case("fig2 --out missing directory", ["fig2", "--out", "directory/missing/x.csv"],
+             DIRECTORY),
+        case("single --out directory", below + ["--out", "directory"], DIRECTORY),
+        case("fig2 --seed 5", ["fig2", "--seed", "5"]),
+        case("single --format csv", below + ["--format", "csv"]),
+        case("single --scan", below + ["--scan", "theta2", "0.1", "0.2", "2"]),
+        case("single self-check mismatch", below + ["--self-check", {}]),
+        case("fig3 --seed -1", ["fig3", "--seed", "-1"]),
+        case("fig2 --seed -1", ["fig2", "--seed", "-1"]),
+        case("fig4 --seed -1", ["fig4", "--config", det, "--seed", "-1"]),
+        case("single --seed -1", below + ["--seed", "-1"]),
+        case("fig3 shots.seed -5", ["fig3", "--config", {"shots": {"seed": -5}}]),
+        case("fig2 output.path null", ["fig2", "--config", {"output": {"path": None}}]),
+        case("single output.path 7",
+             ["single", "--config", {"mzi": POINTS["below"], "output": {"path": 7}}]),
+        case("fig2 --config directory", ["fig2", "--config", "directory"], DIRECTORY),
+        case("fig2 --config non-UTF-8", ["fig2", "--config", b'{"mzi": {"chi": "\xff"}}']),
+        case("fig2 --config missing", ["fig2", "--config", "missing.json"]),
+        case("single --self-check malformed", below + ["--self-check", b"{not json"]),
+        case("single --self-check list", below + ["--self-check", [1, 2]]),
+        case("single --self-check missing", below + ["--self-check", "missing.json"]),
+        # Paths the messages name exactly as given, unnormalised.
+        case("fig2 --config ''", ["fig2", "--config", ""]),
+        case("fig2 --config ./missing//cfg.json", ["fig2", "--config", "./missing//cfg.json"]),
+        case("fig2 --out ''", ["fig2", "--out", ""]),
+        case("single --self-check ./x//y.json", below + ["--self-check", "./x//y.json"]),
+        case("fig4 multi-fault detector", ["fig4", "--config", {"detector": {"k_max": "x"}}]),
+        case("fig2 mzi.theta1 pi/4", ["fig2", "--config", {"mzi": {"theta1": math.pi / 4}}]),
+        case("single mzi.theta1 0.3", ["single", "--config", {"mzi": {"theta1": 0.3}}]),
+        case("fig2 mzi.input_phase 0.3", ["fig2", "--config", {"mzi": {"input_phase": 0.3}}]),
+        case("single balanced LO", ["single", "--config", BALANCED]),
+        case("fig4 one row, balanced LO",
+             ["fig4", "--config", {**BALANCED, "mzi": {"chi": BALANCED["mzi"]["chi"]},
+                                   "n_values": [BALANCED["mzi"]["n_photons"]]},
+              "--scan", "theta2", repr(BALANCED["mzi"]["theta2"]),
+              repr(BALANCED["mzi"]["theta2"]), "1"]),
+        case("single strong LO", ["single", "--config", STRONG_LO]),
+        case("fig2 grid past pi/2", ["fig2", "--scan", "theta2", "1.5", "1.7", "5"]),
+        case("fig4 grid past pi/2", ["fig4", "--config", det, "--scan", "theta2", "1.5", "1.7",
+                                     "5"]),
+        case("fig2 scan over m", ["fig2", "--scan", "m", "1", "2", "2"]),
+        case("fig3 m grid to 1e300", ["fig3", "--seed", "1", "--scan", "m", "1", "1e300", "2"]),
+        # Re(a_w) * 1e308 overflows where a_w > 1.8.
+        case("fig2 chi_values 1e308, default grid, csv",
+             ["fig2", "--config", {"chi_values": [1e308]}] + FORMATS["csv"]),
+        case("single theta2 0.5, chi 1e308",
+             ["single", "--config", {"mzi": {"theta2": 0.5, "chi": 1e308}}]),
+        case("fig2 lo without beta_mag", ["fig2", "--config", {"lo": {"xi": 0.1}}]),
+        case("fig4 detector with only k_max",
+             ["fig4", "--config", {"detector": {"k_max": 450.0}}]),
+        case("fig2 scan with only variable",
+             ["fig2", "--config", {"scan": {"variable": "theta2"}}]),
+        # json writes and reads NaN, which is not a finite number.
+        case("single mzi.chi NaN",
+             ["single", "--config", {"mzi": {"theta2": 0.7, "chi": math.nan}}]),
+        case("fig2 --scan not a number", ["fig2", "--scan", "theta2", "a", "1", "3"]),
+        # An integer past the largest float, and one too long for int().
+        case("single mzi.chi 1e400 as an integer",
+             ["single", "--config", b'{"mzi": {"chi": 1' + b"0" * 400 + b"}}"]),
+        case("single mzi.chi of 4301 digits",
+             ["single", "--config", b'{"mzi": {"chi": 1' + b"0" * 4300 + b"}}"]),
+        # The detector-count bound of keys the run does not read, and of the
+        # largest |alpha| it does.
+        case("fig4 mzi.n_photons 1e308",
+             ["fig4", "--config", {"mzi": {"n_photons": 1e308}, "detector": DETECTOR}]),
+        case("single n_values [1e308]",
+             ["single", "--config", {"mzi": POINTS["below"], "detector": DETECTOR,
+                                     "n_values": [1e308]}]),
+        case("fig4 n_values [1.0], LO 1.4e154",
+             ["fig4", "--config", {**STRONG_FIG4, "lo": {"beta_mag": 1.4e154},
+                                   "n_values": [1.0]}]),
+        case("single output.precision 3",
+             ["single", "--config", {"mzi": POINTS["below"], "output": {"precision": 3}}]),
+        case("fig2 one angle where the port intensities differed, json",
+             ["fig2", "--config", {"mzi": {"gamma": PORT_FIELD["gamma"],
+                                           "n_photons": PORT_FIELD_FIG2_PHOTONS},
+                                   "chi_values": [PORT_FIELD["chi"]],
+                                   "scan": {"variable": "theta2",
+                                            "grid": [PORT_FIELD["theta2"]]}}]
+             + FORMATS["json"]),
+        case("single where the port intensities differed",
+             ["single", "--config", {"mzi": PORT_FIELD}]),
+        case("fig2 |alpha_f| exactly 1e-15, json",
+             ["fig2", "--config", {"mzi": {"n_photons": ZERO_EDGE["n_photons"]},
+                                   "chi_values": [ZERO_EDGE["chi"]], "scan": ZERO_EDGE_SCAN}]
+             + FORMATS["json"]),
+        case("fig4 |alpha_f| exactly 1e-15, json",
+             ["fig4", "--config", {"mzi": {"chi": ZERO_EDGE["chi"]}, "detector": DETECTOR,
+                                   "n_values": [ZERO_EDGE["n_photons"]],
+                                   "scan": ZERO_EDGE_SCAN}] + FORMATS["json"]),
+        case("single |alpha_f| exactly 1e-15, detector",
+             ["single", "--config", {"mzi": ZERO_EDGE, "detector": DETECTOR}]),
+        case("single theta2 pi/2, chi -pi/2, gamma pi", ["single", "--config", {"mzi": CORNER}]),
+        case("single theta2 pi/2, chi -pi/2, gamma pi, detector",
+             ["single", "--config", {"mzi": CORNER, "detector": DETECTOR}]),
+        case("single theta2 pi/2, chi -pi/2, gamma pi, no photons",
+             ["single", "--config", {"mzi": {**CORNER, "n_photons": 0}}]),
+        # Each takes one term of the saturated readout off the floats.
+        case("fig4 LO 1e-308",
+             ["fig4", "--config", {**STRONG_FIG4, "lo": {"beta_mag": 1e-308}, "n_values": [100]},
+              "--scan", "theta2", "0.3", "0.7", "2"]),
+        case("single LO 1e-320", ["single", "--config", {**STRONG, "lo": {"beta_mag": 1e-320}}]),
+        case("single k_max 1.7e308, n_sat 1",
+             ["single", "--config", {"mzi": {"theta2": 0.3, "chi": 0.01},
+                                     "detector": {"k_max": 1.7e308, "n_sat": 1.0}}]),
+        case("single k_max 1e308, n_sat 1e-300",
+             ["single", "--config", {**STRONG, "detector": {"k_max": 1e308, "n_sat": 1e-300}}]),
+        case("single k_max 1e300, n_sat 1e-300",
+             ["single", "--config", {**STRONG, "detector": {"k_max": 1e300, "n_sat": 1e-300}}]),
+        case("single k_max 1e-320, 1e-20 photons",
+             ["single", "--config", {"mzi": {"theta2": 0.3, "chi": 0.01, "n_photons": 1e-20},
+                                     "detector": {"k_max": 1e-320, "n_sat": 500.0}}]),
+        case("single --self-check --out", below + ["--self-check", {}, "--out", "out.json"]),
+        case("single --self-check, output.path",
+             ["single", "--config", {"mzi": POINTS["below"], "output": {"path": "out.json"}},
+              "--self-check", {}]),
+    ]
+    out += [case(f"{name} unread key",
+                 [name, "--config", raw] + (["--seed", "1"] if name == "fig3" else []))
+            for name, raw in UNREAD.items()]
     for fmt, fmt_args in FORMATS.items():
-        out += [(f"{name} hoisted terms, 2001 angles through pi/4, {fmt}",
-                 [name, "--config", f[f"hoisted_{name}"]] + fmt_args)
-                for name in ("fig2", "fig4")]
-        out += [(f"fig3 m across the block cap, shots.runs {runs}, {fmt}",
-                 ["fig3", "--config", f[f"block_cap_runs_{runs}"]] + fmt_args)
-                for runs in (2, 7)]
-    out += [(f"{name} 25 float neighbours of pi/4, csv",
-             [name, "--config", f[f"dark_edge_{name}"]] + FORMATS["csv"])
-            for name in ("fig2", "fig4")]
-    out += [(f"single {n} float steps from pi/4, detector",
-             ["single", "--config", f[f"dark_edge_{n}"]]) for n in DARK_EDGE_SINGLE_STEPS]
+        out += [case(f"{name} hoisted terms, 2001 angles through pi/4, {fmt}",
+                     [name, "--config", HOISTED[name]] + fmt_args) for name in HOISTED]
+        out += [case(f"fig3 m across the block cap, shots.runs {runs}, {fmt}",
+                     ["fig3", "--config", {"shots": {"seed": 5, "runs": runs},
+                                           "scan": {"variable": "m", "grid": BLOCK_CAP_M}}]
+                     + fmt_args) for runs in (2, 7)]
+    out += [case(f"{name} 25 float neighbours of pi/4, csv",
+                 [name, "--config", raw] + FORMATS["csv"]) for name, raw in DARK_EDGE.items()]
+    out += [case(f"single {n} float steps from pi/4, detector",
+                 ["single", "--config", {"mzi": {"theta2": float_steps(DARK, n), "chi": 0.01},
+                                         "detector": DETECTOR}])
+            for n in DARK_EDGE_SINGLE_STEPS]
     for beta in ("1.3e154", "1.4e154"):
-        out += [
-            (f"single LO {beta}", ["single", "--config", f[f"lo_{beta}"]]),
-            (f"fig4 LO {beta}",
-             ["fig4", "--config", f[f"fig4_lo_{beta}"], "--scan", "theta2", "0.3", "0.4", "2"]),
-        ]
+        lo = {"lo": {"beta_mag": float(beta)}}
+        out += [case(f"single LO {beta}", ["single", "--config", {**STRONG, **lo}]),
+                case(f"fig4 LO {beta}", ["fig4", "--config", {**STRONG_FIG4, **lo},
+                                         "--scan", "theta2", "0.3", "0.4", "2"])]
+    out += [case("single amplified phase subnormal",
+                 ["single", "--config", {**SUBNORMAL_PHASE,
+                                         "mzi": {"theta2": 0.3, "chi": 1e-313}}]),
+            case("fig4 amplified phase subnormal",
+                 ["fig4", "--config", SUBNORMAL_PHASE, "--scan", "theta2", "0.3", "0.3", "1"]),
+            case("fig2 n_photons the largest float", ["fig2", "--config", {"mzi": LARGEST_N}]),
+            case("single n_photons the largest float, near pi/4",
+                 ["single", "--config", {"mzi": {**LARGEST_N, **LARGEST_N_POINT}}])]
     return out
 
 
-def run(root: Path, argv: list[str]) -> dict[str, object]:
-    """Run one case with ``root``'s psamzi in a fresh working directory."""
+def write_inputs(folder: Path, inputs: dict[str, bytes | None]) -> None:
+    """Write one case's inputs into ``folder``: bytes as a file, None as a directory."""
+    for name, content in inputs.items():
+        if content is None:
+            (folder / name).mkdir()
+        else:
+            (folder / name).write_bytes(content)
+
+
+def run(root: Path, argv: list[str], inputs: dict[str, bytes | None]) -> dict[str, object]:
+    """Run one case with ``root``'s psamzi in a fresh working directory of its inputs."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     with tempfile.TemporaryDirectory() as cwd:
+        write_inputs(Path(cwd), inputs)
         proc = subprocess.run(
             [sys.executable, "-m", "psamzi.cli", *argv],
             cwd=cwd, env=env, capture_output=True, timeout=300,
@@ -395,14 +393,13 @@ def main(argv: list[str] | None = None) -> int:
     other = parser.parse_args(argv).other_root.resolve()
     if not (other / "src" / "psamzi").is_dir():
         parser.error(f"{other} has no src/psamzi")
-    with tempfile.TemporaryDirectory() as folder:
-        all_cases = cases(write_inputs(Path(folder)))
-        differing = []
-        for label, case_argv in all_cases:
-            mine, theirs = run(ROOT, case_argv), run(other, case_argv)
-            parts = [key for key in mine if mine[key] != theirs[key]]
-            if parts:
-                differing.append((label, parts, mine, theirs))
+    all_cases = cases()
+    differing = []
+    for label, case_argv, inputs in all_cases:
+        mine, theirs = run(ROOT, case_argv, inputs), run(other, case_argv, inputs)
+        parts = [key for key in mine if mine[key] != theirs[key]]
+        if parts:
+            differing.append((label, parts, mine, theirs))
     print(f"{len(all_cases) - len(differing)} of {len(all_cases)} identical")
     for label, parts, mine, theirs in differing:
         print(f"differs: {label}: {', '.join(parts)}")
