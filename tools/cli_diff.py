@@ -127,7 +127,7 @@ DIRECTORY = {"directory": None}
 
 # A case: its label, its argv, and its inputs by relative name, each the bytes
 # of a file or None for an empty directory.
-Case = tuple[str, list[str], dict[str, "bytes | None"]]
+Case = tuple[str, list[str], dict[str, bytes | None]]
 
 
 def case(label: str, argv: list[object], inputs: dict[str, bytes | None] | None = None) -> Case:
