@@ -149,7 +149,7 @@ def _grid(value: object, name: str) -> list[float]:
 _SECTIONS = {
     "mzi": {"theta2": _number, "gamma": _number, "chi": _number,
             "n_photons": _bounded(_number, 0), "input_phase": _number},
-    "lo": {"beta_mag": _number, "xi": _number, "delta": _number},
+    "lo": {"beta_mag": _number, "xi": _number},
     "detector": {"k_max": _number, "n_sat": _number},
     "shots": {"seed": _bounded(_integer, 0), "runs": _bounded(_integer, 2)},
     "scan": {"variable": _choice(SCAN_VARIABLES), "grid": _grid},

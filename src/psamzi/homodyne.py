@@ -24,22 +24,18 @@ __all__ = ["LoConfig", "QUADRATURE_STD", "QuadratureStats",
 QUADRATURE_STD = 0.5
 
 
-class LoConfig(_Checked, namedtuple("LoConfig", "beta_mag xi delta")):
-    """Local-oscillator settings: amplitude, nominal phase, and phase error."""
+class LoConfig(_Checked, namedtuple("LoConfig", "beta_mag xi")):
+    """Local-oscillator settings: amplitude and phase."""
 
     __slots__ = ()
 
-    def __new__(cls, beta_mag: float, xi: float, delta: float = 0.0):
-        if not all(map(math.isfinite, (beta_mag, xi, delta))):
-            raise ValueError(f"LO beta_mag, xi and delta must be finite, got "
-                             f"beta_mag={beta_mag}, xi={xi}, delta={delta}")
+    def __new__(cls, beta_mag: float, xi: float):
+        if not all(map(math.isfinite, (beta_mag, xi))):
+            raise ValueError(f"LO beta_mag and xi must be finite, got "
+                             f"beta_mag={beta_mag}, xi={xi}")
         if beta_mag <= 0:
             raise ValueError(f"LO amplitude must be positive, got {beta_mag}")
-        return super().__new__(cls, beta_mag, xi, delta)
-
-    @property
-    def effective_phase(self) -> float:
-        return self.xi + self.delta
+        return super().__new__(cls, beta_mag, xi)
 
 
 class QuadratureStats(namedtuple("QuadratureStats", "mean std_dev snr sensitivity")):

@@ -74,7 +74,7 @@ def default_theta2_grid() -> list[float]:
 _UNHASHED = ("output.path", "output.format", "scan.variable")
 _READS = {
     "fig2": ("theta2", "mzi.gamma mzi.n_photons chi_values scan output"),
-    "fig3": ("m", "mzi lo shots scan output"),
+    "fig3": ("m", "mzi.theta2 mzi.gamma mzi.chi mzi.n_photons shots scan output"),
     "fig4": ("theta2", "mzi.chi mzi.gamma mzi.input_phase lo detector n_values scan output"),
     "single": (None, "mzi lo detector output.path"),
 }
@@ -176,7 +176,8 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     reduction order are fixed, so the bytes depend neither on the CPU count
     nor on the block size.  At a working point with no amplified phase every
     row is a sentinel: it keeps its ``m``, holds NA elsewhere, and no batch is
-    drawn.
+    drawn.  As in fig2, no column depends on the input phase or the LO, so the
+    run takes input phase 0 and draws around the mean at the LO phase pi/2.
     ``workers`` is accepted for compatibility and has no effect.
     """
     _check_reads(config, "fig3")
@@ -199,8 +200,8 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
     config = config._replace(
         theta2=FIG3_DEFAULT_THETA2 if config.theta2 is None else config.theta2,
         chi=FIG3_DEFAULT_CHI if config.chi is None else config.chi,
-        scan=ScanSpec("m", m_grid))
-    seed, runs, lo = config.shots.seed, config.shots.runs, config.lo
+        input_phase=0.0, scan=ScanSpec("m", m_grid))
+    seed, runs = config.shots.seed, config.shots.runs
     params = config.mzi_params()
     try:
         stats = quadrature_stats_exact(params)
@@ -208,7 +209,7 @@ def run_fig3(config: RunConfig, workers: int = 1) -> Table:
         rows: list[list[object]] = [[m, None, None, None, None, None] for m in m_grid]
     else:
         amp = chi_tilde_exact(params)
-        mean = quadrature_mean(propagate_mzi(params).alpha_f, lo.effective_phase)
+        mean = quadrature_mean(propagate_mzi(params).alpha_f, math.pi / 2)
         points = uncertainty_vs_m(params, m_grid)
 
         def batch_mean_spread(index: int) -> float:
@@ -296,7 +297,7 @@ def run_single(config: RunConfig) -> dict:
         "port_intensity": fields.intensity_f,
         "complement_intensity": fields.intensity_fbar,
         "intensity_difference": intensity_difference(params),
-        "quadrature_mean": quadrature_mean(fields.alpha_f, lo.effective_phase),
+        "quadrature_mean": quadrature_mean(fields.alpha_f, lo.xi),
         "weak_value": a_w,
         "chi_tilde_aav": aav_phase([a_w], params.chi)[0],
     }

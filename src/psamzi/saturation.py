@@ -217,7 +217,7 @@ def error_ratio_fields(grid: list[float], chi: float, gamma: float,
     units = port_amplitudes(grid, [chi], gamma)[0]
     field_rows = port_fields(units, alphas)
     phases, mag_rows = exact_phase(units, field_rows)
-    xi = lo.effective_phase
+    xi = lo.xi
     slope = det.k_max / det.n_sat
     tiny = sys.float_info.min
     for alpha_fs, mags in zip(field_rows, mag_rows):

@@ -218,7 +218,7 @@ class TestExactPhase:
         # propagate_mzi's alpha_f, to the bit, with gamma and the input phase
         # away from zero on both sides of the dark point.  The LO phase 1.2 + 1e-3
         # is not the optimal pi/2 + arg(alpha).
-        lo = LoConfig(beta_mag=5.0, xi=1.2, delta=1e-3)
+        lo = LoConfig(beta_mag=5.0, xi=1.2 + 1e-3)
         det = DetectorParams(k_max=450.0, n_sat=500.0)
         rng = np.random.default_rng(27)
 
@@ -236,7 +236,7 @@ class TestExactPhase:
             assert chi_tilde_exact(params).alpha_f_mag**2 == abs(alpha_f) ** 2, params
             report = error_ratio(params, lo, det)
             assert (report.n1, report.n2) == detector_counts(
-                lo.beta_mag, lo.effective_phase, alpha_f), params
+                lo.beta_mag, lo.xi, alpha_f), params
 
     def test_dark_point_raises(self):
         # At the float dark point the unit port amplitude is a ~1e-16 rounding

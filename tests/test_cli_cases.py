@@ -3,6 +3,7 @@
 ``tools/cli_diff.py`` compares the CLI of two trees; this runs its case table
 once and checks what each case writes: no escaping exception, a documented
 exit code, JSON that parses without NaN or Infinity, and CSV without inf or nan.
+A case that sets a removed key must exit 2.
 """
 
 import importlib.util
@@ -33,9 +34,8 @@ def check_document(text: str) -> None:
         json.loads(text, parse_constant=_refuse)
 
 
-@pytest.mark.parametrize("argv, inputs", [case[1:] for case in CASES],
-                         ids=[case[0] for case in CASES])
-def test_case_writes_valid_output(argv, inputs, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("label, argv, inputs", CASES, ids=[case[0] for case in CASES])
+def test_case_writes_valid_output(label, argv, inputs, tmp_path, monkeypatch, capsys):
     cli_diff.write_inputs(tmp_path, inputs)
     monkeypatch.chdir(tmp_path)
     try:
@@ -43,6 +43,7 @@ def test_case_writes_valid_output(argv, inputs, tmp_path, monkeypatch, capsys):
     except SystemExit as exc:  # argparse's usage errors
         code = exc.code
     assert code in (0, 1, 2, 3)
+    assert code == 2 or label not in cli_diff.REMOVED
     check_document(capsys.readouterr().out)
     for path in tmp_path.iterdir():
         if path.is_file() and path.name not in inputs:

@@ -263,17 +263,20 @@ class TestRescaledIntensity:
 
 
 def test_lo_effective_phase_and_validation():
-    lo = LoConfig(beta_mag=2.0, xi=0.3, delta=0.05)
-    assert math.isclose(lo.effective_phase, 0.35, rel_tol=1e-14)
+    # The LO has two fields, its amplitude and its phase; a phase offset is part of xi.
+    assert LoConfig(beta_mag=2.0, xi=0.3)._fields == ("beta_mag", "xi")
+    assert not hasattr(LoConfig(beta_mag=2.0, xi=0.3), "effective_phase")
+    with pytest.raises(TypeError):
+        LoConfig(2.0, 0.3, 0.05)
     with pytest.raises(ValueError):
         LoConfig(beta_mag=0.0, xi=0.0)
 
 
-@pytest.mark.parametrize("beta_mag, xi, delta", [
-    (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (3.0, math.nan, 0.0), (3.0, 0.0, -math.inf),
+@pytest.mark.parametrize("beta_mag, xi", [
+    (math.nan, 0.0), (math.inf, 0.0), (3.0, math.nan), (3.0, -math.inf),
 ])
-def test_lo_rejects_non_finite(beta_mag, xi, delta):
+def test_lo_rejects_non_finite(beta_mag, xi):
     # A NaN LO amplitude used to pass the positivity check and reach the
     # saturation chain as a NaN readout.
-    with pytest.raises(ValueError, match="LO beta_mag, xi and delta must be finite"):
-        LoConfig(beta_mag=beta_mag, xi=xi, delta=delta)
+    with pytest.raises(ValueError, match="LO beta_mag and xi must be finite"):
+        LoConfig(beta_mag=beta_mag, xi=xi)

@@ -256,14 +256,14 @@ class TestConfig:
 READ_KEYS = {
     "fig2": {"mzi.gamma", "mzi.n_photons", "chi_values", "scan.variable", "scan.grid",
              "output.path", "output.format", "output.precision"},
-    "fig3": {*(f"mzi.{key}" for key in _SECTIONS["mzi"]), "lo.beta_mag", "lo.xi",
-             "lo.delta", "shots.seed", "shots.runs", "scan.variable", "scan.grid",
-             "output.path", "output.format", "output.precision"},
-    "fig4": {"mzi.chi", "mzi.gamma", "mzi.input_phase", "lo.beta_mag", "lo.xi", "lo.delta",
+    "fig3": {"mzi.theta2", "mzi.gamma", "mzi.chi", "mzi.n_photons", "shots.seed",
+             "shots.runs", "scan.variable", "scan.grid", "output.path", "output.format",
+             "output.precision"},
+    "fig4": {"mzi.chi", "mzi.gamma", "mzi.input_phase", "lo.beta_mag", "lo.xi",
              "detector.k_max", "detector.n_sat", "n_values", "scan.variable", "scan.grid",
              "output.path", "output.format", "output.precision"},
     "single": {*(f"mzi.{key}" for key in _SECTIONS["mzi"]), "lo.beta_mag", "lo.xi",
-               "lo.delta", "detector.k_max", "detector.n_sat", "output.path"},
+               "detector.k_max", "detector.n_sat", "output.path"},
 }
 # What each subcommand needs to run at all: fig3 a seed, fig4 a detector and
 # single a working point.
@@ -274,7 +274,7 @@ MINIMAL = {"fig2": {}, "fig3": {"shots": {"seed": 1, "runs": 2}},
 BASE = {
     "mzi": {"theta2": 0.7, "gamma": 0.0, "chi": 0.01, "n_photons": 100.0,
             "input_phase": 0.0},
-    "lo": {"beta_mag": 3.0, "xi": 1.0, "delta": 0.0},
+    "lo": {"beta_mag": 3.0, "xi": 1.0},
     "detector": {"k_max": 450.0, "n_sat": 500.0},
     "shots": {"seed": 1, "runs": 2},
     "output": {"path": "out.txt", "format": "csv", "precision": 12},
@@ -282,7 +282,7 @@ BASE = {
 }
 OTHER = {
     "mzi.theta2": 0.6, "mzi.gamma": 0.1, "mzi.chi": 0.02, "mzi.n_photons": 50.0,
-    "mzi.input_phase": 0.3, "lo.beta_mag": 4.0, "lo.xi": 1.2, "lo.delta": 0.01,
+    "mzi.input_phase": 0.3, "lo.beta_mag": 4.0, "lo.xi": 1.2,
     "detector.k_max": 400.0, "detector.n_sat": 600.0, "shots.seed": 2, "shots.runs": 3,
     "output.precision": 6, "chi_values": [0.02], "n_values": [50.0],
 }
@@ -334,10 +334,25 @@ def _set_field(config, key, value):
     return config._replace(**{name: getattr(config, name)._replace(**{field: value})})
 
 
-def _sha(command, raw, tmp_path):
+def _load(raw, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
-    return _run_sha(command, load_config(path))
+    return load_config(path)
+
+
+def _sha(command, raw, tmp_path):
+    return _run_sha(command, _load(raw, tmp_path))
+
+
+def _output(command, raw, tmp_path):
+    """What the run of ``raw`` writes, without its config hash."""
+    config = _load(raw, tmp_path)
+    if command == "single":
+        record = run_single(config)
+        del record["config_sha256"]
+        return record
+    table = {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4}[command](config)
+    return render_csv(table, config.output.precision).split("\n", 1)[1]
 
 
 def _run_sha(command, config):
@@ -350,9 +365,9 @@ class TestReads:
     """Each subcommand accepts exactly the config keys it reads, and hashes them."""
 
     def test_every_subcommand_key_pair(self, tmp_path, capsys):
-        assert sum(map(len, READ_KEYS.values())) == 48
+        assert sum(map(len, READ_KEYS.values())) == 42
         pairs = [(command, key) for command in MINIMAL for key in ALL_KEYS]
-        assert len(pairs) == 76
+        assert len(pairs) == 72
         rejected = []
         for command, key in pairs:
             raw = _with(MINIMAL[command], key, _get(_base(command), key), command)
@@ -371,7 +386,7 @@ class TestReads:
             assert code == 2, (command, key)
             assert err.startswith(f"config error: {command} does not read {named}; "
                                   "it reads "), (command, key, err)
-        assert len(rejected) == 28
+        assert len(rejected) == 30
 
     @pytest.mark.parametrize("command", list(MINIMAL))
     def test_every_read_key_changes_the_hash(self, tmp_path, command):
@@ -386,12 +401,28 @@ class TestReads:
             assert _sha(command, changed, tmp_path) != sha, key
 
     @pytest.mark.parametrize("command", list(MINIMAL))
+    def test_every_hashed_key_changes_the_output(self, tmp_path, command):
+        # fig4's n1, n2 and eta_e do not depend on detector.k_max: x_saturated
+        # is proportional to k_max and the linear inversion divides by it.
+        # fig4 still reads the key, for the readout's domain check.
+        exempt = {"fig4": {"detector.k_max"}}.get(command, set())
+        hashed = READ_KEYS[command] - UNHASHED
+        base = MINIMAL[command]
+        for key in hashed:
+            base = _with(base, key, _get(_base(command), key), command)
+        output = _output(command, base, tmp_path)
+        for key in sorted(hashed - exempt):
+            other = {"scan.grid": [1, 20] if command == "fig3" else [0.5, 0.7]}
+            changed = _with(base, key, {**OTHER, **other}[key], command)
+            assert _output(command, changed, tmp_path) != output, key
+
+    @pytest.mark.parametrize("command", list(MINIMAL))
     def test_no_other_key_changes_the_hash(self, command):
         # Every key but the hashed ones, less the scan keys, which a run of
         # another variable (or single, any scan) rejects.
         keys = [key for key in ALL_KEYS
                 if key not in READ_KEYS[command] - UNHASHED and not key.startswith("scan.")]
-        assert len(keys) == {"fig2": 13, "fig3": 6, "fig4": 7, "single": 7}[command]
+        assert len(keys) == {"fig2": 12, "fig3": 9, "fig4": 7, "single": 7}[command]
         values = {**OTHER, "output.path": "other.txt", "output.format": "json"}
         config = HAND_BUILT[command]
         sha = _run_sha(command, config)
@@ -417,8 +448,7 @@ class TestRecords:
     def test_asdict_keys(self):
         # The config hash reads each LO and detector field by its config key's
         # name, and single's record reads the saturation report through _asdict.
-        assert list(LoConfig(4.0, 1.2, 0.01)._asdict().items()) == [
-            ("beta_mag", 4.0), ("xi", 1.2), ("delta", 0.01)]
+        assert list(LoConfig(4.0, 1.2)._asdict().items()) == [("beta_mag", 4.0), ("xi", 1.2)]
         assert list(DetectorParams(400.0, 600.0)._asdict().items()) == [
             ("k_max", 400.0), ("n_sat", 600.0)]
         assert list(psamzi.SaturationReport(*range(6))._asdict()) == [
@@ -430,7 +460,7 @@ class TestRecords:
         assert MziParams(0.1, 0.0, 1 + 0j, gamma=0.2).gamma == 0.2
 
     def test_repr(self):
-        assert repr(LoConfig(4.0, 1.2)) == "LoConfig(beta_mag=4.0, xi=1.2, delta=0.0)"
+        assert repr(LoConfig(4.0, 1.2)) == "LoConfig(beta_mag=4.0, xi=1.2)"
         assert (repr(MziParams(0.1, 0.0, 1 + 0j, gamma=0.2))
                 == "MziParams(theta2=0.1, chi=0.0, alpha=(1+0j), gamma=0.2)")
 
@@ -593,7 +623,7 @@ class TestFig3:
             theta2=mzi.get("theta2", FIG3_DEFAULT_THETA2), chi=mzi.get("chi", FIG3_DEFAULT_CHI)
         ).mzi_params()
         amp = chi_tilde_exact(params)
-        mean = quadrature_mean(propagate_mzi(params).alpha_f, config.lo.effective_phase)
+        mean = quadrature_mean(propagate_mzi(params).alpha_f, math.pi / 2)
         mc = table.columns.index("sensitivity_mc")
         for i, row in enumerate(table.rows):
             block = np.random.default_rng([seed, i]).standard_normal((runs, row[0]))
@@ -667,8 +697,7 @@ class TestFig3:
     def test_columns_match_library_past_dark_point(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
-            "mzi": {"theta2": math.pi / 4 + 0.01, "chi": -0.02, "gamma": 0.05,
-                    "input_phase": -0.7},
+            "mzi": {"theta2": math.pi / 4 + 0.01, "chi": -0.02, "gamma": 0.05},
             "shots": {"runs": 7, "seed": 5},
         }))
         config = load_config(path)
@@ -1007,9 +1036,9 @@ class TestCli:
 
     @pytest.mark.parametrize("mzi, sha", [
         ({"n_photons": 0},
-         "2946a2a13ca5fc8bfccbf0c80aad2ebb40f8512d5f9ec45ad53fd2c6a9d1e6b1"),
+         "6b9b9e23ec58decb8a746d7913b7fa24e1bbf54e4f7b83331eab8519fc7f05f9"),
         ({"theta2": math.pi / 4, "chi": 0.0},
-         "fff8f8458c30349ffe205d0f5077c5c6457f5eab14c00bb0de3fb910ffae1842"),
+         "28aa209550124d5782362c7d87b83dcc30b56cc968d0172b27c8fdee6c4bde42"),
     ], ids=["no_photons", "dark_zero_phase"])
     def test_fig3_without_amplified_phase(self, tmp_path, monkeypatch, mzi, sha):
         # No port field means no amplified phase: every row keeps its m, holds
@@ -1254,7 +1283,7 @@ def _figure_raw(figure, mzi, lo, chi_values, n_values):
     # ZeroSignal point.
     ({"gamma": 0.05, "input_phase": 0.7, "n_photons": 150.0, "chi": 0.05}, None),
     ({"gamma": 0.0, "input_phase": -1.1, "n_photons": 80.0, "chi": 0.0},
-     {"beta_mag": 5.0, "xi": 1.2, "delta": 0.01}),
+     {"beta_mag": 5.0, "xi": 1.2 + 0.01}),
 ])
 class TestScanRowsMatchRecords:
     """Every scan cell equals the record API's value, and NA its sentinel error."""
@@ -1316,10 +1345,10 @@ class TestScanRowsMatchRecords:
     # gamma != 0 leaves no dark angle, and fig2's chi = 0.05 = gamma makes
     # pi/4 a vanishing amplitude.
     ({"gamma": 0.05, "input_phase": 0.7, "n_photons": 150.0, "chi": -0.03},
-     {"beta_mag": 5.0, "xi": 1.2, "delta": 1e-3}),
+     {"beta_mag": 5.0, "xi": 1.2 + 1e-3}),
     # gamma = 0 makes pi/4 dark, and chi = 0 makes theta2 = 0 fig4's zero phase.
     ({"gamma": 0.0, "input_phase": -1.1, "n_photons": 80.0, "chi": 0.0},
-     {"beta_mag": 2.0, "xi": 0.4, "delta": -0.02}),
+     {"beta_mag": 2.0, "xi": 0.4 + -0.02}),
 ], ids=["gamma", "dark"])
 class TestScanMatchesScalarChain:
     """Every fig2 and fig4 cell equals the point-by-point chain of ``scalar_chain``."""
@@ -1348,7 +1377,7 @@ class TestScanMatchesScalarChain:
             expected += [
                 [theta2, n_photons, *scalar_chain.fig4_cells(
                     theta2, config.chi, config.gamma, alpha, beam.beta_mag,
-                    beam.xi + beam.delta, det.k_max, det.n_sat)]
+                    beam.xi, det.k_max, det.n_sat)]
                 for theta2 in RECORD_GRID
             ]
         assert table.rows == expected
@@ -1383,7 +1412,7 @@ class TestThetaGridEdges:
 
     @pytest.mark.parametrize("runner, sha", [
         (run_fig2, "905f3055b9dcc6889d3260b69aa60309d789c600fe9e137eff52c705b5567bf8"),
-        (run_fig4, "839635c505b81f36aaad73e5fb3750bfd52506393f9003e0abc179840a758cef"),
+        (run_fig4, "c211a98c7c55e536c2f651b7cdf2e4f26305caac62d8a3eef1b4b6a8d486ba7a"),
     ], ids=["fig2", "fig4"])
     def test_empty_grid_gives_no_rows(self, runner, sha):
         config = RunConfig(lo=LoConfig(beta_mag=DEFAULT_BETA_MAG, xi=math.pi / 2),
@@ -1576,4 +1605,4 @@ def test_zero_amplitude_readers_agree(tmp_path, n_photons, vanishes):
     alpha = cmath.rect(math.sqrt(n_photons), 0.0)
     assert fig2[2:] == scalar_chain.fig2_cells(theta2, chi, 0.0, alpha)
     assert fig4[2:] == scalar_chain.fig4_cells(theta2, chi, 0.0, alpha, beam.beta_mag,
-                                               beam.xi + beam.delta, det.k_max, det.n_sat)
+                                               beam.xi, det.k_max, det.n_sat)

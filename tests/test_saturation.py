@@ -270,7 +270,7 @@ class TestLinearInversion:
         points = 0
         for _ in range(300):
             lo = LoConfig(beta_mag=10.0 ** rng.uniform(-2.0, 3.0),
-                          xi=rng.uniform(-math.pi, math.pi), delta=rng.uniform(-0.1, 0.1))
+                          xi=rng.uniform(-math.pi, math.pi) + rng.uniform(-0.1, 0.1))
             det = DetectorParams(k_max=10.0 ** rng.uniform(-2.0, 4.0),
                                  n_sat=10.0 ** rng.uniform(-1.0, 6.0))
             alpha = coherent_amplitude(10.0 ** rng.uniform(-2.0, 5.0),

@@ -4,9 +4,10 @@ Usage: python tools/bench_pairs.py OTHER_ROOT --workload NAME [--pairs 10] [--se
 
 OTHER_ROOT is another checkout of the repository, for example an export of
 the parent commit.  Pair i runs ``perfbench/run.py --workload NAME --seed S+i
---trace 0`` once in this tree and once in OTHER_ROOT, one run at a time; this
-tree goes first in even pairs and second in odd ones.  The last line of each
-run's standard output is its JSON result.  After each pair the script prints
+--seconds R --trace 0``, R being BENCHMARK.json's ``run_seconds``, once in
+this tree and once in OTHER_ROOT, one run at a time; this tree goes first in
+even pairs and second in odd ones.  The last line of each run's standard
+output is its JSON result.  After each pair the script prints
 both sides' values of each end-to-end metric of this tree's BENCHMARK.json,
 this tree's first.  Then, for each such metric, it prints the median and
 quartiles of each side, this tree's wins out of the pairs (a tie counts for
@@ -29,10 +30,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("this tree", "other tree")
 
 
-def run_once(root: Path, workload: str, seed: int) -> dict | None:
-    """The JSON result of one perfbench run in ``root``, None if it failed."""
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """The JSON result of one ``seconds``-long perfbench run in ``root``, None if it failed.
+
+    The result also holds the run's ``provenance`` line as a dict, if printed.
+    """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -40,6 +44,9 @@ def run_once(root: Path, workload: str, seed: int) -> dict | None:
     except json.JSONDecodeError:
         result = None
     if proc.returncode == 0 and isinstance(result, dict):
+        for line in lines:
+            if line.startswith("provenance "):
+                result["provenance"] = json.loads(line.partition(" ")[2])
         return result
     sys.stderr.write(proc.stderr)
     print(f"{root}: seed {seed} exited {proc.returncode}"
@@ -59,7 +66,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{other} has no perfbench/run.py")
     if args.pairs < 2:
         parser.error("--pairs must be >= 2, for quartiles")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = bench["end_to_end"]
 
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
@@ -67,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
             root = ROOT if side == SIDES[0] else other
-            result = run_once(root, args.workload, seed)
+            result = run_once(root, args.workload, seed, bench["run_seconds"])
             if result is None:
                 return 1
             results[side].append(result)

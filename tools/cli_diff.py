@@ -66,7 +66,7 @@ HOISTED = {
     "fig2": {"mzi": {"gamma": 0.05}, "chi_values": [1e-3, -0.02],
              "scan": HOISTED_SCAN},
     "fig4": {"mzi": {"gamma": 0.05, "input_phase": 0.3},
-             "lo": {"beta_mag": 5.0, "xi": 1.2, "delta": 1e-3}, "detector": DETECTOR,
+             "lo": {"beta_mag": 5.0, "xi": 1.2 + 1e-3}, "detector": DETECTOR,
              "n_values": [0, 100, 2000], "scan": HOISTED_SCAN},
 }
 # A working point where |alpha| / sqrt(2) * |unit| and |alpha / sqrt(2) * unit|
@@ -91,6 +91,17 @@ LARGEST_N_POINT = {"theta2": 0.7853981633974482, "chi": 2.5775710095969133,
 UNREAD = {"fig2": {"mzi": {"chi": 0.5}}, "fig3": {"detector": DETECTOR},
           "fig4": {"detector": DETECTOR, "chi_values": [1e-3]},
           "single": {"mzi": POINTS["below"], "shots": {"runs": 5}}}
+# Keys that had no effect of their own and are gone: lo.delta, a second name
+# for lo.xi, and fig3's LO and input phase, which moved no fig3 byte.  Each
+# case must exit 2.
+REMOVED = {
+    "fig4 lo.delta": ["fig4", "--config", {"lo": {"beta_mag": 5.0, "xi": 1.2, "delta": 1e-3},
+                                           "detector": DETECTOR}],
+    "single lo.delta": ["single", "--config", {"mzi": POINTS["below"],
+                                               "lo": {"beta_mag": 5.0, "delta": 1e-3}}],
+    "fig3 lo": ["fig3", "--config", {"lo": {"beta_mag": 5.0, "xi": 1.2}}, "--seed", "1"],
+    "fig3 mzi.input_phase": ["fig3", "--config", {"mzi": {"input_phase": 0.3}}, "--seed", "1"],
+}
 
 
 def float_steps(x: float, n: int) -> float:
@@ -302,6 +313,7 @@ def cases() -> list[Case]:
     out += [case(f"{name} unread key",
                  [name, "--config", raw] + (["--seed", "1"] if name == "fig3" else []))
             for name, raw in UNREAD.items()]
+    out += [case(label, argv) for label, argv in REMOVED.items()]
     for fmt, fmt_args in FORMATS.items():
         out += [case(f"{name} hoisted terms, 2001 angles through pi/4, {fmt}",
                      [name, "--config", HOISTED[name]] + fmt_args) for name in HOISTED]
